@@ -7,10 +7,7 @@ integers, so any candidate count and any weight magnitude are accepted.
 
 from __future__ import annotations
 
-KIND_COUNT = 0
-KIND_SUM = 1
-KIND_MAX = 2
-KIND_MIN = 3
+from ._packed import KIND_COUNT, KIND_MAX, KIND_SUM
 
 
 def _relation_truth(cmp: int, rel: int) -> bool:

@@ -8,18 +8,10 @@ same flat integer arrays, so they differ only in arithmetic width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .ground import (
-    EQUAL,
-    GREATER,
-    GroundProgram,
-    LESS,
-    builtin_truth,
-    term_compare,
-    term_sort_key,
-)
+from .ground import GroundProgram, builtin_truth, term_compare, term_sort_key
 from .syntax import (
     AggregateFunction,
     AggregateLiteral,
@@ -45,35 +37,15 @@ _KIND = {
     AggregateFunction.MIN: KIND_MIN,
 }
 
-REL_LT = 0
-REL_GT = 1
-REL_LE = 2
-REL_GE = 3
-REL_EQ = 4
-REL_NE = 5
-
+# Relation codes as both kernels read them (see _kernel_py._relation_truth).
 _REL = {
-    Relation.LT: REL_LT,
-    Relation.GT: REL_GT,
-    Relation.LE: REL_LE,
-    Relation.GE: REL_GE,
-    Relation.EQ: REL_EQ,
-    Relation.NE: REL_NE,
+    Relation.LT: 0,
+    Relation.GT: 1,
+    Relation.LE: 2,
+    Relation.GE: 3,
+    Relation.EQ: 4,
+    Relation.NE: 5,
 }
-
-
-def relation_truth(cmp: int, rel: int) -> bool:
-    if rel == REL_LT:
-        return cmp == LESS
-    if rel == REL_GT:
-        return cmp == GREATER
-    if rel == REL_LE:
-        return cmp != GREATER
-    if rel == REL_GE:
-        return cmp != LESS
-    if rel == REL_EQ:
-        return cmp == EQUAL
-    return cmp != EQUAL
 
 
 def atom_sort_key(atom: ClassicalAtom):
@@ -121,112 +93,60 @@ def derivable_atoms(program: GroundProgram) -> set[ClassicalAtom]:
 
 
 @dataclass(frozen=True)
-class PackedGuard:
-    rel: int
-    is_int: bool
-    int_value: int
-
-
-@dataclass(frozen=True)
-class PackedTuple:
-    weight: int  # contribution to #sum (0 for non-integer or empty tuples)
-    participates: bool  # tuple has arity >= 1, so it feeds #max/#min
-    cmp_left: int  # term_compare(first component, left guard term)
-    cmp_right: int
-    conditions: tuple[tuple[int, int], ...]  # (pos_mask, neg_mask) alternatives
-
-
-@dataclass(frozen=True)
-class PackedAggregate:
-    naf: bool
-    kind: int
-    left: Optional[PackedGuard]
-    right: Optional[PackedGuard]
-    tuples: tuple[PackedTuple, ...]
-
-
-@dataclass(frozen=True)
-class PackedRule:
-    head: int
-    pos: int
-    neg: int
-    aggregates: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PackedProgram:
+    """A ground program packed over its candidate atoms.
+
+    `arrays` are the integer arrays the kernels read, in `flat()` order
+    after the size:
+
+    - conflicts: the mask of each atom together with its strong negation.
+    - rule_meta: (head, pos, neg, start, count) per rule, where start and
+      count select the rule's entries of agg_index.
+    - agg_index: ids into agg_meta.
+    - agg_meta: (naf, kind, then present, relation code, term is an
+      integer and its value for the left and then the right guard, start,
+      count) per aggregate, where start and count select tuple_meta rows.
+    - tuple_meta: (weight for #sum, 1 if the tuple has a first term for
+      #max/#min, term_compare of that term with the left and with the right
+      guard term, start, count) per distinct element tuple, where start and
+      count select cond_flat rows.
+    - cond_flat: (pos, neg) masks; a tuple counts when one of its rows
+      holds.
+    """
+
     size: int
     atoms: tuple[ClassicalAtom, ...]
-    conflicts: tuple[int, ...]
-    rules: tuple[PackedRule, ...]
-    aggregates: tuple[PackedAggregate, ...]
+    arrays: tuple
 
     def flat(self) -> tuple:
         """Primitive-integer view shared by the enumeration kernels:
-        (size, conflicts, rule_meta, agg_meta, tuple_meta, cond_flat)."""
-        rule_meta: list[tuple[int, int, int, int, int]] = []
-        agg_index: list[int] = []
-        for rule in self.rules:
-            start = len(agg_index)
-            agg_index.extend(rule.aggregates)
-            rule_meta.append((rule.head, rule.pos, rule.neg, start, len(rule.aggregates)))
-        agg_meta: list[tuple[int, ...]] = []
-        tuple_meta: list[tuple[int, int, int, int, int, int]] = []
-        cond_flat: list[tuple[int, int]] = []
-        for agg in self.aggregates:
-            tup_start = len(tuple_meta)
-            for tup in agg.tuples:
-                cond_start = len(cond_flat)
-                cond_flat.extend(tup.conditions)
-                tuple_meta.append(
-                    (
-                        tup.weight,
-                        1 if tup.participates else 0,
-                        tup.cmp_left,
-                        tup.cmp_right,
-                        cond_start,
-                        len(tup.conditions),
-                    )
-                )
-            left = agg.left or PackedGuard(0, False, 0)
-            right = agg.right or PackedGuard(0, False, 0)
-            agg_meta.append(
-                (
-                    1 if agg.naf else 0,
-                    agg.kind,
-                    1 if agg.left is not None else 0,
-                    left.rel,
-                    1 if left.is_int else 0,
-                    left.int_value,
-                    1 if agg.right is not None else 0,
-                    right.rel,
-                    1 if right.is_int else 0,
-                    right.int_value,
-                    tup_start,
-                    len(agg.tuples),
-                )
-            )
-        return (
-            self.size,
-            tuple(self.conflicts),
-            tuple(rule_meta),
-            tuple(agg_index),
-            tuple(agg_meta),
-            tuple(tuple_meta),
-            tuple(cond_flat),
-        )
+        (size, conflicts, rule_meta, agg_index, agg_meta, tuple_meta,
+        cond_flat)."""
+        return (self.size, *self.arrays)
+
+
+def _guard_meta(guard: Optional[Guard]) -> tuple[int, int, int, int]:
+    """(present, relation code, term is an integer, its value) of a guard."""
+    if guard is None:
+        return (0, 0, 0, 0)
+    if isinstance(guard.term, IntegerConstant):
+        return (1, _REL[guard.relation], 1, guard.term.value)
+    return (1, _REL[guard.relation], 0, 0)
 
 
 class _Packer:
     def __init__(self, atoms: list[ClassicalAtom]) -> None:
-        self.atoms = atoms
         self.bit = {atom: 1 << i for i, atom in enumerate(atoms)}
+        self.rule_meta: list[tuple[int, int, int, int, int]] = []
+        self.agg_index: list[int] = []
+        self.agg_meta: list[tuple[int, ...]] = []
+        self.tuple_meta: list[tuple[int, int, int, int, int, int]] = []
+        self.cond_flat: list[tuple[int, int]] = []
 
-    def literal_masks(
-        self, literals, pos: int, neg: int
-    ) -> Optional[tuple[int, int]]:
-        """Fold classical literals into masks; None when a positive literal
-        can never hold over the candidate base."""
+    def literal_masks(self, literals) -> Optional[tuple[int, int]]:
+        """Fold classical literals into (pos, neg) masks; None when a
+        positive literal can never hold over the candidate base."""
+        pos = neg = 0
         for literal in literals:
             atom = literal.atom
             mask = self.bit.get(atom)
@@ -239,52 +159,74 @@ class _Packer:
                 pos |= mask
         return pos, neg
 
-    def pack_guard(self, guard: Optional[Guard]) -> Optional[PackedGuard]:
-        if guard is None:
-            return None
-        is_int = isinstance(guard.term, IntegerConstant)
-        return PackedGuard(_REL[guard.relation], is_int, guard.term.value if is_int else 0)
+    def pack_rule(self, rule: Rule) -> None:
+        """Append the rule unless its head leaves the candidate base or its
+        body can never hold."""
+        head = 0
+        for atom in rule.head:
+            mask = self.bit.get(atom)
+            if mask is None:
+                return
+            head |= mask
+        classical: list[NafLiteral] = []
+        aggregates: list[AggregateLiteral] = []
+        for literal in rule.body:
+            if isinstance(literal, AggregateLiteral):
+                aggregates.append(literal)
+            elif isinstance(literal.atom, ClassicalAtom):
+                classical.append(literal)
+            else:
+                atom = literal.atom
+                if builtin_truth(atom.left, atom.relation, atom.right) == literal.naf:
+                    return
+        masks = self.literal_masks(classical)
+        if masks is None:
+            return
+        pos, neg = masks
+        self.rule_meta.append((head, pos, neg, len(self.agg_index), len(aggregates)))
+        for literal in aggregates:
+            self.agg_index.append(len(self.agg_meta))
+            self.pack_aggregate(literal)
 
-    def pack_aggregate(self, literal: AggregateLiteral) -> PackedAggregate:
+    def pack_aggregate(self, literal: AggregateLiteral) -> None:
         atom = literal.atom
-        left = self.pack_guard(atom.left_guard)
-        right = self.pack_guard(atom.right_guard)
         by_tuple: dict[tuple[Term, ...], list[tuple[int, int]]] = {}
-        order: list[tuple[Term, ...]] = []
         for element in atom.elements:
-            masks = self.literal_masks(element.condition, 0, 0)
-            if masks is None:
-                continue
-            if element.terms not in by_tuple:
-                by_tuple[element.terms] = []
-                order.append(element.terms)
-            by_tuple[element.terms].append(masks)
-        order.sort(key=lambda terms: tuple(term_sort_key(t) for t in terms))
-        tuples: list[PackedTuple] = []
+            masks = self.literal_masks(element.condition)
+            if masks is not None:
+                by_tuple.setdefault(element.terms, []).append(masks)
+        tuple_start = len(self.tuple_meta)
+        order = sorted(by_tuple, key=lambda terms: tuple(term_sort_key(t) for t in terms))
         for terms in order:
-            weight = 0
-            if terms and isinstance(terms[0], IntegerConstant):
-                weight = terms[0].value
-            cmp_left = (
-                term_compare(terms[0], atom.left_guard.term)
-                if terms and atom.left_guard is not None
-                else 0
-            )
-            cmp_right = (
-                term_compare(terms[0], atom.right_guard.term)
-                if terms and atom.right_guard is not None
-                else 0
-            )
-            tuples.append(
-                PackedTuple(
+            first = terms[0] if terms else None
+            weight = first.value if isinstance(first, IntegerConstant) else 0
+            cmp_left = cmp_right = 0
+            if first is not None and atom.left_guard is not None:
+                cmp_left = term_compare(first, atom.left_guard.term)
+            if first is not None and atom.right_guard is not None:
+                cmp_right = term_compare(first, atom.right_guard.term)
+            conditions = by_tuple[terms]
+            self.tuple_meta.append(
+                (
                     weight,
-                    bool(terms),
+                    1 if terms else 0,
                     cmp_left,
                     cmp_right,
-                    tuple(by_tuple[terms]),
+                    len(self.cond_flat),
+                    len(conditions),
                 )
             )
-        return PackedAggregate(literal.naf, _KIND[atom.function], left, right, tuple(tuples))
+            self.cond_flat.extend(conditions)
+        self.agg_meta.append(
+            (
+                1 if literal.naf else 0,
+                _KIND[atom.function],
+                *_guard_meta(atom.left_guard),
+                *_guard_meta(atom.right_guard),
+                tuple_start,
+                len(self.tuple_meta) - tuple_start,
+            )
+        )
 
 
 def pack_program(program: GroundProgram) -> PackedProgram:
@@ -299,40 +241,14 @@ def pack_program(program: GroundProgram) -> PackedProgram:
             mask = bit.get(partner)
             if mask is not None:
                 conflicts.append(mask | bit[atom])
-    rules: list[PackedRule] = []
-    aggregates: list[PackedAggregate] = []
     for rule in program.rules:
-        head = 0
-        skip = False
-        for atom in rule.head:
-            mask = bit.get(atom)
-            if mask is None:
-                skip = True
-                break
-            head |= mask
-        if skip:
-            continue
-        pos = neg = 0
-        agg_ids: list[int] = []
-        for literal in rule.body:
-            if isinstance(literal, AggregateLiteral):
-                agg_ids.append(len(aggregates))
-                aggregates.append(packer.pack_aggregate(literal))
-                continue
-            atom = literal.atom
-            if isinstance(atom, BuiltinAtom):
-                if builtin_truth(atom.left, atom.relation, atom.right) == literal.naf:
-                    skip = True
-                    break
-                continue
-            masks = packer.literal_masks([literal], pos, neg)
-            if masks is None:
-                skip = True
-                break
-            pos, neg = masks
-        if skip:
-            continue
-        rules.append(PackedRule(head, pos, neg, tuple(agg_ids)))
-    return PackedProgram(
-        len(atoms), tuple(atoms), tuple(conflicts), tuple(rules), tuple(aggregates)
+        packer.pack_rule(rule)
+    arrays = (
+        conflicts,
+        packer.rule_meta,
+        packer.agg_index,
+        packer.agg_meta,
+        packer.tuple_meta,
+        packer.cond_flat,
     )
+    return PackedProgram(len(atoms), tuple(atoms), tuple(tuple(a) for a in arrays))

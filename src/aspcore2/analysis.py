@@ -19,7 +19,6 @@ from .syntax import (
     BuiltinAtom,
     ChoiceAtom,
     ClassicalAtom,
-    FunctionalTerm,
     IntegerConstant,
     NafLiteral,
     Program,
@@ -28,12 +27,15 @@ from .syntax import (
     Rule,
     Statement,
     Term,
-    Variable,
     WeakConstraint,
+    atom_variables,
+    iter_element_terms,
     iter_statement_terms,
     iter_subterms,
     statement_to_text,
     term_to_text,
+    term_variables,
+    term_variables_outside_arithmetic,
 )
 
 # Signed predicate signature: (strong_negation, name, arity).
@@ -57,33 +59,6 @@ def _require_desugared(statement: Statement) -> None:
 
 # --------------------------------------------------------------------------
 # Safety
-
-
-def _vars_outside_arithmetic(term: Term) -> set[str]:
-    """Variables of `term` not nested inside any arithmetic subterm."""
-    if isinstance(term, Variable):
-        return {term.name}
-    if isinstance(term, FunctionalTerm):
-        out: set[str] = set()
-        for arg in term.args:
-            out |= _vars_outside_arithmetic(arg)
-        return out
-    return set()
-
-
-def _all_vars(term: Term) -> set[str]:
-    return {t.name for t in iter_subterms(term) if isinstance(t, Variable)}
-
-
-def _atom_vars_outside_arithmetic(atom: Union[ClassicalAtom, BuiltinAtom]) -> set[str]:
-    out: set[str] = set()
-    if isinstance(atom, ClassicalAtom):
-        for arg in atom.args:
-            out |= _vars_outside_arithmetic(arg)
-    else:
-        out |= _vars_outside_arithmetic(atom.left)
-        out |= _vars_outside_arithmetic(atom.right)
-    return out
 
 
 def bound_variables(
@@ -116,14 +91,16 @@ def _literal_bindings(
         if literal.naf:
             return set()
         atom = literal.atom
+        out: set[str] = set()
         if isinstance(atom, ClassicalAtom):
-            return _atom_vars_outside_arithmetic(atom) & scope
+            for arg in atom.args:
+                out |= term_variables_outside_arithmetic(arg)
+            return out & scope
         if atom.relation is not Relation.EQ:
             return set()
-        out: set[str] = set()
         for side, other in ((atom.left, atom.right), (atom.right, atom.left)):
-            if _all_vars(other) & scope <= bound:
-                out |= _vars_outside_arithmetic(side) & scope
+            if term_variables(other) & scope <= bound:
+                out |= term_variables_outside_arithmetic(side) & scope
         return out
     if literal.naf:
         return set()
@@ -134,26 +111,12 @@ def _literal_bindings(
     element_vars: set[str] = set()
     outside: set[str] = set()
     for element in atom.elements:
-        for term in element.terms:
-            element_vars |= _all_vars(term)
-            outside |= _vars_outside_arithmetic(term)
-        for cond in element.condition:
-            element_vars |= _atom_all_vars(cond.atom)
-            outside |= _atom_vars_outside_arithmetic(cond.atom)
+        for term in iter_element_terms(element):
+            element_vars |= term_variables(term)
+            outside |= term_variables_outside_arithmetic(term)
     if element_vars & scope <= bound:
-        return (outside | _vars_outside_arithmetic(guard.term)) & scope
+        return (outside | term_variables_outside_arithmetic(guard.term)) & scope
     return set()
-
-
-def _atom_all_vars(atom: Union[ClassicalAtom, BuiltinAtom]) -> set[str]:
-    out: set[str] = set()
-    if isinstance(atom, ClassicalAtom):
-        for arg in atom.args:
-            out |= _all_vars(arg)
-    else:
-        out |= _all_vars(atom.left)
-        out |= _all_vars(atom.right)
-    return out
 
 
 def global_variables(statement: Statement) -> frozenset[str]:
@@ -161,23 +124,23 @@ def global_variables(statement: Statement) -> frozenset[str]:
     out: set[str] = set()
     if isinstance(statement, Rule):
         for atom in statement.head_atoms():
-            out |= _atom_all_vars(atom)
+            out |= atom_variables(atom)
         literals: tuple[BodyLiteral, ...] = statement.body
     elif isinstance(statement, WeakConstraint):
-        out |= _all_vars(statement.weight)
-        out |= _all_vars(statement.level)
+        out |= term_variables(statement.weight)
+        out |= term_variables(statement.level)
         for term in statement.terms:
-            out |= _all_vars(term)
+            out |= term_variables(term)
         literals = statement.body
     else:
-        return frozenset(_atom_all_vars(statement.atom))
+        return frozenset(atom_variables(statement.atom))
     for literal in literals:
         if isinstance(literal, AggregateLiteral):
             for guard in (literal.atom.left_guard, literal.atom.right_guard):
                 if guard is not None:
-                    out |= _all_vars(guard.term)
+                    out |= term_variables(guard.term)
         else:
-            out |= _atom_all_vars(literal.atom)
+            out |= atom_variables(literal.atom)
     return frozenset(out)
 
 
@@ -204,19 +167,16 @@ def _diagnose_unbound(
             if (
                 isinstance(atom, BuiltinAtom)
                 and atom.relation is Relation.EQ
-                and name in _atom_all_vars(atom)
+                and name in atom_variables(atom)
             ):
                 return "(ii)"
         else:
             for guard in (literal.atom.left_guard, literal.atom.right_guard):
-                if guard is not None and name in _all_vars(guard.term):
+                if guard is not None and name in term_variables(guard.term):
                     aggregate_hit = True
             for element in literal.atom.elements:
-                for term in element.terms:
-                    if name in _all_vars(term):
-                        aggregate_hit = True
-                for cond in element.condition:
-                    if name in _atom_all_vars(cond.atom):
+                for term in iter_element_terms(element):
+                    if name in term_variables(term):
                         aggregate_hit = True
     return "(iii)" if aggregate_hit else "(i)"
 
@@ -257,10 +217,8 @@ def check_safety(statement: Statement) -> SafetyReport:
             continue
         for element in literal.atom.elements:
             element_vars: set[str] = set()
-            for term in element.terms:
-                element_vars |= _all_vars(term)
-            for cond in element.condition:
-                element_vars |= _atom_all_vars(cond.atom)
+            for term in iter_element_terms(element):
+                element_vars |= term_variables(term)
             local = frozenset(element_vars - scope)
             bound_local = bound_variables(element.condition, local)
             for name in sorted(local - bound_local):

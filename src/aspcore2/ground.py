@@ -11,7 +11,7 @@ testing).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .analysis import global_variables
@@ -42,11 +42,16 @@ from .syntax import (
     Variable,
     WeakConstraint,
     aggregate_element_to_text,
+    atom_terms,
+    atom_variables,
     body_literal_to_text,
     classical_atom_to_text,
+    iter_element_terms,
     iter_statement_terms,
     iter_subterms,
     rule_to_text,
+    term_variables,
+    term_variables_outside_arithmetic,
     weak_constraint_to_text,
 )
 
@@ -193,14 +198,6 @@ def eval_arithmetic(term: Term, sigma: Optional[Substitution] = None) -> Optiona
 # Well-formed substitutions
 
 
-def _atom_terms(atom: Union[ClassicalAtom, BuiltinAtom]) -> Iterator[Term]:
-    if isinstance(atom, ClassicalAtom):
-        yield from atom.args
-    else:
-        yield atom.left
-        yield atom.right
-
-
 def _global_terms(statement: Statement) -> Iterator[Term]:
     """Term positions outside aggregate elements."""
     if isinstance(statement, Query):
@@ -221,13 +218,7 @@ def _global_terms(statement: Statement) -> Iterator[Term]:
                 if guard is not None:
                     yield guard.term
         else:
-            yield from _atom_terms(literal.atom)
-
-
-def _element_terms(element: AggregateElement) -> Iterator[Term]:
-    yield from element.terms
-    for cond in element.condition:
-        yield from _atom_terms(cond.atom)
+            yield from atom_terms(literal.atom)
 
 
 def is_well_formed(
@@ -238,7 +229,7 @@ def is_well_formed(
     """True iff every arithmetic subterm in the scope evaluates (no division
     by zero, no symbolic operands) under the substitution."""
     if scope == "element":
-        terms: Iterable[Term] = _element_terms(target)
+        terms: Iterable[Term] = iter_element_terms(target)
     else:
         terms = _global_terms(target)
     return all(eval_arithmetic(term, sigma) is not None for term in terms)
@@ -350,40 +341,16 @@ class _State:
         return _State(dict(self.sigma), list(self.kept), list(self.delayed))
 
 
-def _term_vars(term: Term) -> set[str]:
-    return {t.name for t in iter_subterms(term) if isinstance(t, Variable)}
-
-
-def _vars_outside_arith(term: Term) -> set[str]:
-    if isinstance(term, Variable):
-        return {term.name}
-    if isinstance(term, FunctionalTerm):
-        out: set[str] = set()
-        for arg in term.args:
-            out |= _vars_outside_arith(arg)
-        return out
-    return set()
-
-
-def _atom_vars(atom: Union[ClassicalAtom, BuiltinAtom]) -> set[str]:
-    out: set[str] = set()
-    for term in _atom_terms(atom):
-        out |= _term_vars(term)
-    return out
-
-
 def _aggregate_vars(literal: AggregateLiteral) -> tuple[set[str], set[str]]:
     """(guard variables, element variables) of an aggregate literal."""
     guard_vars: set[str] = set()
     for guard in (literal.atom.left_guard, literal.atom.right_guard):
         if guard is not None:
-            guard_vars |= _term_vars(guard.term)
+            guard_vars |= term_variables(guard.term)
     element_vars: set[str] = set()
     for element in literal.atom.elements:
-        for term in element.terms:
-            element_vars |= _term_vars(term)
-        for cond in element.condition:
-            element_vars |= _atom_vars(cond.atom)
+        for term in iter_element_terms(element):
+            element_vars |= term_variables(term)
     return guard_vars, element_vars
 
 
@@ -412,7 +379,7 @@ def _unify(pattern: Term, value: Term, state: _State) -> bool:
 def _resolve_delayed(state: _State) -> bool:
     remaining: list[tuple[Term, Term]] = []
     for pattern, expected in state.delayed:
-        if _term_vars(pattern) <= state.sigma.keys():
+        if term_variables(pattern) <= state.sigma.keys():
             value = eval_arithmetic(pattern, state.sigma)
             if value is None or value != expected:
                 return False
@@ -422,19 +389,41 @@ def _resolve_delayed(state: _State) -> bool:
     return True
 
 
-def builtin_truth(left: Term, relation: Relation, right: Term) -> bool:
-    result = term_compare(left, right)
+def match_atom(pattern: ClassicalAtom, atom: ClassicalAtom) -> Optional[Substitution]:
+    """The substitution under which the possibly nonground `pattern` equals
+    the ground `atom`, or None when there is none."""
+    if (
+        pattern.predicate != atom.predicate
+        or pattern.strong_negation != atom.strong_negation
+        or len(pattern.args) != len(atom.args)
+    ):
+        return None
+    state = _State({}, [], [])
+    if not all(_unify(p, v, state) for p, v in zip(pattern.args, atom.args)):
+        return None
+    if _resolve_delayed(state) and not state.delayed:
+        return state.sigma
+    return None
+
+
+def relation_holds(comparison: int, relation: Relation) -> bool:
+    """Truth of `relation` between two values whose three-way comparison
+    (LESS, EQUAL or GREATER) is given."""
     if relation is Relation.LT:
-        return result == LESS
+        return comparison == LESS
     if relation is Relation.GT:
-        return result == GREATER
+        return comparison == GREATER
     if relation is Relation.LE:
-        return result != GREATER
+        return comparison != GREATER
     if relation is Relation.GE:
-        return result != LESS
+        return comparison != LESS
     if relation is Relation.EQ:
-        return result == EQUAL
-    return result != EQUAL
+        return comparison == EQUAL
+    return comparison != EQUAL
+
+
+def builtin_truth(left: Term, relation: Relation, right: Term) -> bool:
+    return relation_holds(term_compare(left, right), relation)
 
 
 class _AtomIndex:
@@ -487,9 +476,9 @@ class _Grounder:
         atom = literal.atom
         if isinstance(atom, ClassicalAtom):
             if literal.naf:
-                return ("naf", None) if _atom_vars(atom) <= bound else None
+                return ("naf", None) if atom_variables(atom) <= bound else None
             return ("join", None)
-        left_vars, right_vars = _term_vars(atom.left), _term_vars(atom.right)
+        left_vars, right_vars = term_variables(atom.left), term_variables(atom.right)
         if left_vars | right_vars <= bound:
             return ("filter", None)
         if literal.naf or atom.relation is not Relation.EQ:
@@ -507,13 +496,14 @@ class _Grounder:
         if kind == "join":
             out = set(bound)
             for arg in literal.atom.args:
-                out |= _vars_outside_arith(arg)
+                out |= term_variables_outside_arithmetic(arg)
             return out
         if kind == "bind":
             _, pattern = payload
-            return bound | _vars_outside_arith(pattern)
+            return bound | term_variables_outside_arithmetic(pattern)
         if kind == "aggregate-bind":
-            return bound | _vars_outside_arith(literal.atom.right_guard.term)
+            guard = literal.atom.right_guard
+            return bound | term_variables_outside_arithmetic(guard.term)
         return bound
 
     # -- literal application ------------------------------------------
@@ -673,7 +663,7 @@ class _Grounder:
         for state in states:
             if state.delayed:
                 if not all(
-                    _term_vars(p) <= state.sigma.keys() for p, _ in state.delayed
+                    term_variables(p) <= state.sigma.keys() for p, _ in state.delayed
                 ):
                     raise ValueError(
                         "unresolved match constraints; the statement is not safe"
@@ -712,22 +702,22 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
     rule_globals = {
         id(rule): global_variables(rule) for rule in program.rules
     }
-    instances: dict[Rule, None] = {}
-    while True:
+    # Passes repeat until one derives no new atom. That pass joined every
+    # body against the final index, so its instances are the ground program;
+    # an earlier pass may have instantiated an aggregate before all atoms of
+    # its element conditions were derived.
+    grew = True
+    while grew:
         grew = False
+        instances: dict[Rule, None] = {}
         for rule in program.rules:
             for state in grounder.ground_body(rule, rule_globals[id(rule)]):
                 heads = _ground_heads(rule, state.sigma, bounds)
                 if heads is None:
                     continue
-                instance = _canonical_rule(tuple(heads), state.kept)
-                if instance not in instances:
-                    instances[instance] = None
-                    grew = True
+                instances.setdefault(_canonical_rule(tuple(heads), state.kept))
                 for atom in heads:
-                    grounder.index.add(atom)
-        if not grew:
-            break
+                    grew |= grounder.index.add(atom)
     weaks: dict[WeakConstraint, None] = {}
     for weak in program.weak_constraints:
         for state in grounder.ground_body(weak, global_variables(weak)):
@@ -763,8 +753,8 @@ def instantiate_element(
     universe, arithmetically evaluated, as a deduplicated sorted list."""
     sigma0 = dict(context or {})
     local_vars: set[str] = set()
-    for term in _element_terms(element):
-        local_vars |= _term_vars(term)
+    for term in iter_element_terms(element):
+        local_vars |= term_variables(term)
     local_vars -= sigma0.keys()
     if globals_ is not None:
         local_vars -= globals_

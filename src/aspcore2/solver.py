@@ -3,12 +3,12 @@ programs.
 
 The reference operations (literal satisfaction, models, reducts) work
 directly on atom sets. Enumeration runs on the packed bitmask kernels and
-every emitted answer set is re-verified against the reference operations.
+emitted answer sets are re-checked against the reference operations:
+minimality only up to 12 atoms, above that only by the kernel cross-check.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -17,12 +17,13 @@ from . import kernel as _kernel
 from ._packed import pack_program
 from .errors import CapacityExceeded
 from .ground import (
-    EQUAL,
     GREATER,
     GroundProgram,
     LESS,
     builtin_truth,
     eval_arithmetic,
+    match_atom,
+    relation_holds,
     term_compare,
     term_sort_key,
 )
@@ -31,21 +32,15 @@ from .syntax import (
     AggregateElement,
     AggregateFunction,
     AggregateLiteral,
-    ArithmeticTerm,
     BodyLiteral,
     BuiltinAtom,
     ClassicalAtom,
     FunctionalTerm,
     IntegerConstant,
-    NafLiteral,
     Query,
-    Relation,
-    Rule,
     SymbolicConstant,
     Term,
-    Variable,
-    WeakConstraint,
-    iter_subterms,
+    atom_variables,
 )
 
 Interpretation = frozenset[ClassicalAtom]
@@ -67,24 +62,6 @@ MINUS_INFINITY = _Infinity(-1)
 PLUS_INFINITY = _Infinity(1)
 
 AggregateValue = Union[Term, _Infinity]
-
-
-def satisfies_builtin(left: Term, relation: Relation, right: Term) -> bool:
-    return builtin_truth(left, relation, right)
-
-
-def _relation_truth(cmp: int, relation: Relation) -> bool:
-    if relation is Relation.LT:
-        return cmp == LESS
-    if relation is Relation.GT:
-        return cmp == GREATER
-    if relation is Relation.LE:
-        return cmp != GREATER
-    if relation is Relation.GE:
-        return cmp != LESS
-    if relation is Relation.EQ:
-        return cmp == EQUAL
-    return cmp != EQUAL
 
 
 def _value_compare(value: AggregateValue, term: Term) -> int:
@@ -131,14 +108,14 @@ def satisfies_literal(
         truth = True
         if atom.left_guard is not None:
             cmp = -_value_compare(value, atom.left_guard.term)
-            truth = _relation_truth(cmp, atom.left_guard.relation)
+            truth = relation_holds(cmp, atom.left_guard.relation)
         if truth and atom.right_guard is not None:
             cmp = _value_compare(value, atom.right_guard.term)
-            truth = _relation_truth(cmp, atom.right_guard.relation)
+            truth = relation_holds(cmp, atom.right_guard.relation)
         return truth != literal.naf
     atom = literal.atom
     if isinstance(atom, BuiltinAtom):
-        truth = satisfies_builtin(atom.left, atom.relation, atom.right)
+        truth = builtin_truth(atom.left, atom.relation, atom.right)
     else:
         truth = atom in interpretation
     return truth != literal.naf
@@ -234,7 +211,8 @@ def answer_sets(
 
     Enumerates consistent subsets of the derivable head atoms with the
     packed kernel, keeps the minimal models of their own reducts, and
-    re-verifies each result against the reference operations.
+    re-checks each result against the reference operations (minimality
+    only up to 12 atoms).
     """
     packed = pack_program(ground_program)
     if packed.size > brute_force_limit:
@@ -362,43 +340,6 @@ class QueryAnswer:
     substitutions: tuple[tuple[tuple[str, Term], ...], ...] = ()
 
 
-def _match_atom(
-    pattern: ClassicalAtom, atom: ClassicalAtom
-) -> Optional[dict[str, Term]]:
-    sigma: dict[str, Term] = {}
-    delayed: list[tuple[Term, Term]] = []
-
-    def unify(p: Term, v: Term) -> bool:
-        if isinstance(p, Variable):
-            if p.name in sigma:
-                return sigma[p.name] == v
-            sigma[p.name] = v
-            return True
-        if isinstance(p, ArithmeticTerm):
-            delayed.append((p, v))
-            return True
-        if isinstance(p, FunctionalTerm):
-            return (
-                isinstance(v, FunctionalTerm)
-                and v.functor == p.functor
-                and len(v.args) == len(p.args)
-                and all(unify(a, b) for a, b in zip(p.args, v.args))
-            )
-        return p == v
-
-    if not all(unify(p, v) for p, v in zip(pattern.args, atom.args)):
-        return None
-    for pattern_term, expected in delayed:
-        names = {
-            t.name for t in iter_subterms(pattern_term) if isinstance(t, Variable)
-        }
-        if not names <= sigma.keys():
-            return None
-        if eval_arithmetic(pattern_term, sigma) != expected:
-            return None
-    return sigma
-
-
 def answer_query(
     ground_program: GroundProgram,
     query: Query,
@@ -413,13 +354,7 @@ def answer_query(
     if not sets:
         return QueryAnswer("inconsistent")
     atom = query.atom
-    names = {
-        t.name
-        for arg in atom.args
-        for t in iter_subterms(arg)
-        if isinstance(t, Variable)
-    }
-    if not names:
+    if not atom_variables(atom):
         args = [eval_arithmetic(a, {}) for a in atom.args]
         if any(a is None for a in args):
             return QueryAnswer("false")
@@ -430,13 +365,7 @@ def answer_query(
     for interpretation in sets:
         matches: set[tuple[tuple[str, Term], ...]] = set()
         for candidate in interpretation:
-            if (
-                candidate.predicate != atom.predicate
-                or candidate.strong_negation != atom.strong_negation
-                or len(candidate.args) != len(atom.args)
-            ):
-                continue
-            sigma = _match_atom(atom, candidate)
+            sigma = match_atom(atom, candidate)
             if sigma is not None:
                 matches.add(tuple(sorted(sigma.items())))
         common = matches if common is None else common & matches

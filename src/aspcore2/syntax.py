@@ -103,16 +103,6 @@ Term = Union[
     FunctionalTerm,
 ]
 
-GROUND_TERM_TYPES = (IntegerConstant, SymbolicConstant, StringConstant, FunctionalTerm)
-
-
-def is_ground(term: Term) -> bool:
-    if isinstance(term, (IntegerConstant, SymbolicConstant, StringConstant)):
-        return True
-    if isinstance(term, (Variable, AnonymousVariable)):
-        return False
-    return all(is_ground(a) for a in term.args)
-
 
 # --------------------------------------------------------------------------
 # Atoms and literals
@@ -390,12 +380,51 @@ def iter_subterms(term: Term) -> Iterator[Term]:
             yield from iter_subterms(arg)
 
 
-def _iter_atom_terms(atom) -> Iterator[Term]:
+def term_variables(term: Term) -> set[str]:
+    """Names of the named variables occurring anywhere in `term`."""
+    if isinstance(term, Variable):
+        return {term.name}
+    if isinstance(term, (ArithmeticTerm, FunctionalTerm)):
+        out: set[str] = set()
+        for arg in term.args:
+            out |= term_variables(arg)
+        return out
+    return set()
+
+
+def term_variables_outside_arithmetic(term: Term) -> set[str]:
+    """Names of the variables of `term` not nested inside an arithmetic
+    subterm: the ones a match against a ground term binds."""
+    if isinstance(term, Variable):
+        return {term.name}
+    if isinstance(term, FunctionalTerm):
+        out: set[str] = set()
+        for arg in term.args:
+            out |= term_variables_outside_arithmetic(arg)
+        return out
+    return set()
+
+
+def atom_terms(atom: Union[ClassicalAtom, BuiltinAtom]) -> tuple[Term, ...]:
+    """The top-level terms of a classical or builtin atom."""
     if isinstance(atom, ClassicalAtom):
-        yield from atom.args
-    else:
-        yield atom.left
-        yield atom.right
+        return atom.args
+    return (atom.left, atom.right)
+
+
+def atom_variables(atom: Union[ClassicalAtom, BuiltinAtom]) -> set[str]:
+    """Names of the named variables occurring anywhere in `atom`."""
+    out: set[str] = set()
+    for term in atom_terms(atom):
+        out |= term_variables(term)
+    return out
+
+
+def iter_element_terms(element: AggregateElement) -> Iterator[Term]:
+    """The top-level terms of an aggregate element, its condition included."""
+    yield from element.terms
+    for cond in element.condition:
+        yield from atom_terms(cond.atom)
 
 
 def _iter_body_literal_terms(literal: BodyLiteral) -> Iterator[Term]:
@@ -405,11 +434,9 @@ def _iter_body_literal_terms(literal: BodyLiteral) -> Iterator[Term]:
             if guard is not None:
                 yield guard.term
         for element in atom.elements:
-            yield from element.terms
-            for cond in element.condition:
-                yield from _iter_atom_terms(cond.atom)
+            yield from iter_element_terms(element)
     else:
-        yield from _iter_atom_terms(literal.atom)
+        yield from atom_terms(literal.atom)
 
 
 def iter_statement_terms(statement: Statement) -> Iterator[Term]:
@@ -423,7 +450,7 @@ def iter_statement_terms(statement: Statement) -> Iterator[Term]:
             for element in choice.elements:
                 yield from element.atom.args
                 for cond in element.condition:
-                    yield from _iter_atom_terms(cond.atom)
+                    yield from atom_terms(cond.atom)
         else:
             for atom in statement.head:
                 yield from atom.args
@@ -445,9 +472,7 @@ def statement_variables(statement: Statement) -> set[str]:
     """Names of all named variables occurring anywhere in the statement."""
     names: set[str] = set()
     for top in iter_statement_terms(statement):
-        for sub in iter_subterms(top):
-            if isinstance(sub, Variable):
-                names.add(sub.name)
+        names |= term_variables(top)
     return names
 
 

@@ -260,6 +260,23 @@ def test_10_grounding_equivalence():
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 
 
+def test_10_grounding_equivalence_statements_reversed():
+    # Rules before the facts they depend on: the smart grounder meets
+    # aggregates before their element atoms are derived.
+    with criterion(10, "grounding equivalence, statements reversed"):
+        start = time.perf_counter()
+        rng = random.Random(17)
+        bounds = UniverseBounds(max_int=5, max_nesting=1)
+        for index in range(100):
+            text = "\n".join(reversed(random_nonground_program_text(rng).split("\n")))
+            core = desugar(parse_program(text))
+            smart = answer_sets(ground_program(core, bounds))
+            naive = answer_sets(ground_program(core, bounds, naive=True))
+            assert smart == naive, f"program {index}:\n{text}"
+        elapsed = time.perf_counter() - start
+        assert elapsed < 120.0, f"took {elapsed:.1f}s"
+
+
 def test_11_query_answering():
     with criterion(11, "query answering"):
         rng = random.Random(19)

@@ -301,6 +301,17 @@ def test_smart_and_naive_agree_on_answer_sets():
     assert smart == naive
 
 
+@pytest.mark.parametrize(
+    "text", [":- #count{: a} != 1. a.", "a. :- #count{: a} != 1."]
+)
+def test_smart_grounding_drops_aggregates_grounded_before_their_atoms(text):
+    # in the first order the constraint is grounded once before `a` is
+    # derived; that instance, with no elements, must not survive
+    smart = answer_sets(ground(text))
+    naive = answer_sets(ground(text, naive=True))
+    assert smart == naive == (frozenset({ClassicalAtom("a")}),)
+
+
 def test_grounding_strips_variables():
     grounded = ground("b(1). b(2). {a(X) : b(X)} >= 1.", max_int=3)
     for rule in grounded.rules:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from aspcore2.errors import CapacityExceeded
-from aspcore2.ground import GroundProgram, UniverseBounds, ground_program
+from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
 from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
 from aspcore2.solver import (
@@ -20,7 +20,6 @@ from aspcore2.solver import (
     optimal_answer_sets,
     project_interpretation,
     reduct,
-    satisfies_builtin,
     satisfies_literal,
     weak_cost,
 )
@@ -71,13 +70,13 @@ def body_literal(text):
 def test_builtin_pinned_values():
     one, two = IntegerConstant(1), IntegerConstant(2)
     abc = SymbolicConstant("abc")
-    assert satisfies_builtin(one, Relation.LT, two)
-    assert satisfies_builtin(abc, Relation.EQ, abc)
-    assert not satisfies_builtin(abc, Relation.EQ, StringConstant("abc"))
-    assert not satisfies_builtin(IntegerConstant(3), Relation.GE, SymbolicConstant("a"))
-    assert satisfies_builtin(one, Relation.NE, two)
-    assert satisfies_builtin(one, Relation.LE, one)
-    assert not satisfies_builtin(one, Relation.GT, one)
+    assert builtin_truth(one, Relation.LT, two)
+    assert builtin_truth(abc, Relation.EQ, abc)
+    assert not builtin_truth(abc, Relation.EQ, StringConstant("abc"))
+    assert not builtin_truth(IntegerConstant(3), Relation.GE, SymbolicConstant("a"))
+    assert builtin_truth(one, Relation.NE, two)
+    assert builtin_truth(one, Relation.LE, one)
+    assert not builtin_truth(one, Relation.GT, one)
 
 
 # --------------------------------------------------------------------------
