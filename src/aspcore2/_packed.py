@@ -19,7 +19,6 @@ from .syntax import (
     ClassicalAtom,
     Guard,
     IntegerConstant,
-    NafLiteral,
     Relation,
     Rule,
     Term,
@@ -144,11 +143,16 @@ class _Packer:
         self.cond_flat: list[tuple[int, int]] = []
 
     def literal_masks(self, literals) -> Optional[tuple[int, int]]:
-        """Fold classical literals into (pos, neg) masks; None when a
-        positive literal can never hold over the candidate base."""
+        """Fold literals into (pos, neg) masks; None when one can never hold:
+        a false builtin, or a positive atom outside the candidate base. True
+        builtins are left out."""
         pos = neg = 0
         for literal in literals:
             atom = literal.atom
+            if isinstance(atom, BuiltinAtom):
+                if builtin_truth(atom.left, atom.relation, atom.right) == literal.naf:
+                    return None
+                continue
             mask = self.bit.get(atom)
             if literal.naf:
                 if mask is not None:
@@ -168,18 +172,9 @@ class _Packer:
             if mask is None:
                 return
             head |= mask
-        classical: list[NafLiteral] = []
-        aggregates: list[AggregateLiteral] = []
-        for literal in rule.body:
-            if isinstance(literal, AggregateLiteral):
-                aggregates.append(literal)
-            elif isinstance(literal.atom, ClassicalAtom):
-                classical.append(literal)
-            else:
-                atom = literal.atom
-                if builtin_truth(atom.left, atom.relation, atom.right) == literal.naf:
-                    return
-        masks = self.literal_masks(classical)
+        plain = [l for l in rule.body if not isinstance(l, AggregateLiteral)]
+        aggregates = [l for l in rule.body if isinstance(l, AggregateLiteral)]
+        masks = self.literal_masks(plain)
         if masks is None:
             return
         pos, neg = masks

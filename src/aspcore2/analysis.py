@@ -29,9 +29,11 @@ from .syntax import (
     Term,
     WeakConstraint,
     atom_variables,
+    is_aux_name,
     iter_element_terms,
     iter_statement_terms,
     iter_subterms,
+    render_aux_name,
     statement_to_text,
     term_to_text,
     term_variables,
@@ -47,7 +49,11 @@ def atom_signature(atom: ClassicalAtom) -> Signature:
 
 
 def signature_to_text(sig: Signature) -> str:
+    """`name/arity`, with a leading `-` when strongly negated; desugaring
+    auxiliaries are shown by their rendered names."""
     negation, name, arity = sig
+    if is_aux_name(name):
+        name = render_aux_name(name)
     prefix = "-" if negation else ""
     return f"{prefix}{name}/{arity}"
 
@@ -270,6 +276,52 @@ class DependencyGraph:
                     parents[succ] = vertex
                     queue.append(succ)
         return None
+
+    def components(self) -> list[frozenset[Signature]]:
+        """Strongly connected components, each listed after every component
+        it reaches, so a rule's body predicates come before its head's.
+
+        Tarjan's algorithm with an explicit stack; vertices and successors
+        are visited in sorted order, so the result is deterministic.
+        """
+        order: dict[Signature, int] = {}
+        low: dict[Signature, int] = {}
+        stack: list[Signature] = []
+        on_stack: set[Signature] = set()
+        out: list[frozenset[Signature]] = []
+        for root in sorted(self.vertices):
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(self.successors(root)))]
+            while work:
+                vertex, successors = work[-1]
+                for succ in successors:
+                    if succ not in order:
+                        order[succ] = low[succ] = len(order)
+                        stack.append(succ)
+                        on_stack.add(succ)
+                        work.append((succ, iter(self.successors(succ))))
+                        break
+                    if succ in on_stack:
+                        low[vertex] = min(low[vertex], order[succ])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[vertex])
+                    if low[vertex] == order[vertex]:
+                        component: set[Signature] = set()
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            component.add(member)
+                            if member == vertex:
+                                break
+                        out.append(frozenset(component))
+        return out
 
 
 def _body_classical_atoms(literal: BodyLiteral) -> Iterator[ClassicalAtom]:

@@ -70,13 +70,6 @@ def _read_input(path: Optional[str]) -> str:
         return handle.read()
 
 
-def _display_signature(signature) -> str:
-    negation, name, arity = signature
-    if is_aux_name(name):
-        name = render_aux_name(name)
-    return signature_to_text((negation, name, arity))
-
-
 def _program_text(program: Program) -> str:
     return "\n".join(statement_to_text(s) for s in program.statements())
 
@@ -159,7 +152,7 @@ def _cmd_check(args) -> int:
     if args.dump_graph:
         graph = build_dependency_graph(core)
         lines = sorted(
-            f"edge {_display_signature(a)} {_display_signature(b)}"
+            f"edge {signature_to_text(a)} {signature_to_text(b)}"
             for a, b in graph.edges
         )
         for line in lines:

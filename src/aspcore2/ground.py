@@ -3,9 +3,9 @@
 Provides the total order on ground terms, arithmetic evaluation with an
 explicit `undefined` outcome, well-formedness of substitutions, aggregate
 element instantiation, and two grounders: a bottom-up one restricted to
-potentially derivable atoms, and a naive one enumerating every substitution
-over the bounded universe (the literal definition, kept for differential
-testing).
+potentially derivable atoms (component by component, semi-naive, with
+argument-indexed joins), and a naive one enumerating every substitution over
+the bounded universe (the literal definition, kept for differential testing).
 """
 
 from __future__ import annotations
@@ -14,7 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .analysis import global_variables
+from .analysis import (
+    Signature,
+    atom_signature,
+    build_dependency_graph,
+    global_variables,
+)
 from .errors import BoundExceeded
 from .syntax import (
     AggregateAtom,
@@ -427,23 +432,43 @@ def builtin_truth(left: Term, relation: Relation, right: Term) -> bool:
 
 
 class _AtomIndex:
-    """Derivable ground atoms indexed by signed predicate signature."""
+    """Derivable ground atoms, indexed by signed predicate signature and by
+    (signature, argument position, ground argument)."""
 
-    def __init__(self) -> None:
+    def __init__(self, atoms: Iterable[ClassicalAtom] = ()) -> None:
         self.atoms: set[ClassicalAtom] = set()
-        self.by_signature: dict[tuple[bool, str, int], list[ClassicalAtom]] = {}
+        self.by_signature: dict[Signature, list[ClassicalAtom]] = {}
+        self.by_argument: dict[tuple[Signature, int, Term], list[ClassicalAtom]] = {}
+        for atom in atoms:
+            self.add(atom)
 
     def add(self, atom: ClassicalAtom) -> bool:
         if atom in self.atoms:
             return False
         self.atoms.add(atom)
-        key = (atom.strong_negation, atom.predicate, len(atom.args))
+        key = atom_signature(atom)
         self.by_signature.setdefault(key, []).append(atom)
+        for position, value in enumerate(atom.args):
+            self.by_argument.setdefault((key, position, value), []).append(atom)
         return True
 
-    def candidates(self, atom: ClassicalAtom) -> list[ClassicalAtom]:
-        key = (atom.strong_negation, atom.predicate, len(atom.args))
-        return self.by_signature.get(key, [])
+    def candidates(
+        self, pattern: ClassicalAtom, position: Optional[int], value: Optional[Term]
+    ) -> list[ClassicalAtom]:
+        """The atoms with the signature of `pattern`; when `position` is
+        given, only those whose argument there is `value`."""
+        key = atom_signature(pattern)
+        if position is None:
+            return self.by_signature.get(key, [])
+        return self.by_argument.get((key, position, value), [])
+
+
+def _bound_position(atom: ClassicalAtom, bound: set[str]) -> Optional[int]:
+    """The first argument of `atom` whose variables are all bound."""
+    for position, arg in enumerate(atom.args):
+        if term_variables(arg) <= bound:
+            return position
+    return None
 
 
 class _Grounder:
@@ -477,7 +502,7 @@ class _Grounder:
         if isinstance(atom, ClassicalAtom):
             if literal.naf:
                 return ("naf", None) if atom_variables(atom) <= bound else None
-            return ("join", None)
+            return ("join", (self.index, _bound_position(atom, bound)))
         left_vars, right_vars = term_variables(atom.left), term_variables(atom.right)
         if left_vars | right_vars <= bound:
             return ("filter", None)
@@ -515,7 +540,13 @@ class _Grounder:
         out: list[_State] = []
         for state in states:
             if kind == "join":
-                for atom in self.index.candidates(literal.atom):
+                index, position = payload
+                value = None
+                if position is not None:
+                    value = eval_arithmetic(literal.atom.args[position], state.sigma)
+                    if value is None:
+                        continue
+                for atom in index.candidates(literal.atom, position, value):
                     branch = state.clone()
                     if all(
                         _unify(p, v, branch)
@@ -639,11 +670,22 @@ class _Grounder:
     # -- body join ----------------------------------------------------
 
     def _join(
-        self, body: Sequence[BodyLiteral], sigma0: Substitution
+        self,
+        body: Sequence[BodyLiteral],
+        sigma0: Substitution,
+        delta: Optional[_AtomIndex] = None,
     ) -> list[_State]:
+        """States for every way the body holds over the index. With `delta`,
+        the first literal, a positive classical atom, is matched only
+        against the atoms in `delta`."""
         remaining = list(body)
         bound = set(sigma0)
         states = [_State(dict(sigma0), [], [])]
+        if delta is not None:
+            literal = remaining.pop(0)
+            mode = ("join", (delta, _bound_position(literal.atom, bound)))
+            states = self._apply(literal, mode, states)
+            bound = self._bound_after(literal, mode, bound)
         while remaining and states:
             picked = None
             for position, literal in enumerate(remaining):
@@ -674,10 +716,86 @@ class _Grounder:
         return final
 
     def ground_body(
-        self, statement: Statement, globals_: frozenset[str]
+        self,
+        statement: Statement,
+        delta: Optional[_AtomIndex] = None,
+        position: int = 0,
     ) -> list[_State]:
-        self.globals = set(globals_)
-        return self._join(statement.body, {})
+        """Body states of the statement; with `delta`, the positive
+        classical literal at `position` is matched only against `delta`."""
+        self.globals = set(global_variables(statement))
+        body = statement.body
+        if delta is not None:
+            body = (body[position],) + body[:position] + body[position + 1 :]
+        return self._join(body, {}, delta)
+
+    def fire(
+        self, rule: Rule, states: list[_State], instances: dict[Rule, None]
+    ) -> list[ClassicalAtom]:
+        """Record the instances of the rule for the body states and add
+        their heads to the index; returns the atoms the index did not have."""
+        added: list[ClassicalAtom] = []
+        for state in states:
+            heads = _ground_heads(rule, state.sigma, self.bounds)
+            if heads is None:
+                continue
+            instances.setdefault(_canonical_rule(tuple(heads), state.kept))
+            for atom in heads:
+                if self.index.add(atom):
+                    added.append(atom)
+        return added
+
+    def ground_component(
+        self,
+        rules: list[Rule],
+        component: frozenset[Signature],
+        instances: dict[Rule, None],
+    ) -> None:
+        """Instantiate the rules whose heads form one strongly connected
+        component; every predicate the component depends on is complete."""
+        if any(_aggregates_over(rule, component) for rule in rules):
+            # A recursive aggregate (the checker rejects these) must see the
+            # component's final atoms: rounds restart from no instances
+            # until one adds no atom, and that round is the result.
+            grew = True
+            while grew:
+                grew = False
+                last: dict[Rule, None] = {}
+                for rule in rules:
+                    if self.fire(rule, self.ground_body(rule), last):
+                        grew = True
+            instances.update(last)
+            return
+        added: list[ClassicalAtom] = []
+        for rule in rules:
+            added += self.fire(rule, self.ground_body(rule), instances)
+        # Semi-naive rounds: a new instance uses an atom of the last round.
+        recursive = [
+            (rule, position)
+            for rule in rules
+            for position, literal in enumerate(rule.body)
+            if isinstance(literal, NafLiteral)
+            and not literal.naf
+            and isinstance(literal.atom, ClassicalAtom)
+            and atom_signature(literal.atom) in component
+        ]
+        while added and recursive:
+            delta = _AtomIndex(added)
+            added = []
+            for rule, position in recursive:
+                added += self.fire(rule, self.ground_body(rule, delta, position), instances)
+
+
+def _aggregates_over(rule: Rule, component: frozenset[Signature]) -> bool:
+    """Whether an aggregate element condition of the rule mentions a
+    predicate of the component."""
+    return any(
+        isinstance(cond.atom, ClassicalAtom) and atom_signature(cond.atom) in component
+        for literal in rule.body
+        if isinstance(literal, AggregateLiteral)
+        for element in literal.atom.elements
+        for cond in element.condition
+    )
 
 
 def _ground_heads(
@@ -699,28 +817,24 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
         if isinstance(rule.head, ChoiceAtom):
             raise ValueError("statement must be desugared before grounding")
     grounder = _Grounder(bounds)
-    rule_globals = {
-        id(rule): global_variables(rule) for rule in program.rules
-    }
-    # Passes repeat until one derives no new atom. That pass joined every
-    # body against the final index, so its instances are the ground program;
-    # an earlier pass may have instantiated an aggregate before all atoms of
-    # its element conditions were derived.
-    grew = True
-    while grew:
-        grew = False
-        instances: dict[Rule, None] = {}
-        for rule in program.rules:
-            for state in grounder.ground_body(rule, rule_globals[id(rule)]):
-                heads = _ground_heads(rule, state.sigma, bounds)
-                if heads is None:
-                    continue
-                instances.setdefault(_canonical_rule(tuple(heads), state.kept))
-                for atom in heads:
-                    grew |= grounder.index.add(atom)
+    components = build_dependency_graph(program).components()
+    rank = {sig: i for i, component in enumerate(components) for sig in component}
+    by_component: list[list[Rule]] = [[] for _ in components]
+    constraints: list[Rule] = []
+    for rule in program.rules:
+        if rule.head:
+            by_component[rank[atom_signature(rule.head[0])]].append(rule)
+        else:
+            constraints.append(rule)
+    instances: dict[Rule, None] = {}
+    for component, rules in zip(components, by_component):
+        if rules:
+            grounder.ground_component(rules, component, instances)
+    for rule in constraints:
+        grounder.fire(rule, grounder.ground_body(rule), instances)
     weaks: dict[WeakConstraint, None] = {}
     for weak in program.weak_constraints:
-        for state in grounder.ground_body(weak, global_variables(weak)):
+        for state in grounder.ground_body(weak):
             weight = eval_arithmetic(weak.weight, state.sigma)
             level = eval_arithmetic(weak.level, state.sigma)
             terms = [eval_arithmetic(t, state.sigma) for t in weak.terms]
@@ -888,9 +1002,22 @@ def ground_program(
 
     The default grounder instantiates bottom-up, keeping only substitutions
     whose positive classical body atoms are potentially derivable, and raises
-    BoundExceeded when a derivable atom leaves the universe. With naive=True
-    every substitution over the bounded universe is enumerated instead and
-    nothing is derived, so the bounds are never exceeded.
+    BoundExceeded when a derivable atom leaves the universe. It grounds the
+    strongly connected components of the predicate dependency graph in
+    topological order, so every predicate a component depends on is complete
+    when its rules are joined. A component is joined once; if it is
+    recursive, semi-naive rounds follow, in which each rule is re-joined once
+    per positive body literal over the component's own predicates, with that
+    literal matched only against the atoms the previous round added. A
+    component with an aggregate over its own predicates (a recursive
+    aggregate) is instead re-ground from no instances until a round adds no
+    atom. Constraints and weak constraints are grounded last. Joins look up
+    the first argument already bound in an index keyed by (predicate,
+    argument position, ground value) instead of scanning the predicate.
+
+    With naive=True every substitution over the bounded universe is
+    enumerated instead and nothing is derived, so the bounds are never
+    exceeded.
     """
     if bounds is None:
         bounds = UniverseBounds()

@@ -10,11 +10,13 @@ minimality only up to 12 atoms, above that only by the kernel cross-check.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import kernel as _kernel
 from ._packed import pack_program
+from .analysis import atom_signature, signature_to_text
 from .errors import CapacityExceeded
 from .ground import (
     GREATER,
@@ -199,6 +201,17 @@ def _verify_answer_set(
             )
 
 
+def _largest_predicates(atoms: Iterable[ClassicalAtom]) -> str:
+    """The three predicates with the most atoms, largest first, as
+    `most atoms: q/2 (16), ...`."""
+    counts = Counter(atom_signature(atom) for atom in atoms)
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], signature_to_text(item[0])))
+    text = ", ".join(f"{signature_to_text(sig)} ({count})" for sig, count in ranked[:3])
+    if len(ranked) > 3:
+        text += f" and {len(ranked) - 3} more predicates"
+    return "most atoms: " + text
+
+
 def answer_sets(
     ground_program: GroundProgram,
     *,
@@ -218,7 +231,7 @@ def answer_sets(
     if packed.size > brute_force_limit:
         raise CapacityExceeded(
             f"candidate base has {packed.size} atoms, above the brute-force "
-            f"limit {brute_force_limit}"
+            f"limit {brute_force_limit}; {_largest_predicates(packed.atoms)}"
         )
     flat = packed.flat()
     masks = _kernel.solve_masks(flat, kernel)

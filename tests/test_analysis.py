@@ -167,6 +167,32 @@ def test_graph_head_head_edges_include_self():
     assert ("a/0", "a/0") in edges
 
 
+def graph_components(text):
+    graph = build_dependency_graph(desugar(parse_program(text)))
+    return [sorted(signature_to_text(v) for v in c) for c in graph.components()]
+
+
+def test_components_come_after_the_components_they_reach():
+    components = graph_components(
+        "e(1,2). r(X,Y) :- e(X,Y). r(X,Z) :- r(X,Y), e(Y,Z)."
+        " odd(Y) :- even(X), e(X,Y). even(Y) :- odd(X), e(X,Y). even(1)."
+        " top :- r(1,2), not odd(2)."
+    )
+    assert components == [["e/2"], ["even/1", "odd/1"], ["r/2"], ["top/0"]]
+
+
+def test_components_of_a_long_chain_need_no_recursion():
+    # one vertex per link: a recursive search would exceed Python's stack
+    text = " ".join(f"p{i + 1} :- p{i}." for i in range(3000))
+    components = graph_components(text)
+    assert components == [[f"p{i}/0"] for i in range(3001)]
+
+
+def test_graph_renders_auxiliary_names():
+    edges = graph_edges("{a} :- b.")
+    assert ("__aux_a_0/1", "b/0") in edges
+
+
 def test_graph_distinguishes_strong_negation():
     edges = graph_edges("-p(X) :- q(X).")
     assert ("-p/1", "q/1") in edges

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspcore2 import ground as ground_module
 from aspcore2.errors import BoundExceeded
 from aspcore2.ground import (
     EQUAL,
@@ -345,6 +346,103 @@ def test_smart_grounding_drops_underivable_bodies():
     program = desugar(parse_program("p(X) :- q(X). q(c)?"))
     grounded = ground_program(program, UniverseBounds(0, 0))
     assert grounded.to_text() == ""
+
+
+# --------------------------------------------------------------------------
+# Component order, semi-naive rounds and the argument index. Each pinned
+# text is the output of the pass-until-fixpoint grounder these replaced.
+
+COMPONENT_PROGRAMS = {
+    "mutual recursion": (
+        "next(0,1). next(1,2). next(2,3). next(3,4). even(0)."
+        " odd(Y) :- even(X), next(X,Y). even(Y) :- odd(X), next(X,Y).",
+        "even(0).\n"
+        "even(2) :- next(1,2), odd(1).\n"
+        "even(4) :- next(3,4), odd(3).\n"
+        "next(0,1).\nnext(1,2).\nnext(2,3).\nnext(3,4).\n"
+        "odd(1) :- even(0), next(0,1).\n"
+        "odd(3) :- even(2), next(2,3).",
+    ),
+    "recursion through a disjunctive head": (
+        "c(0). next(0,1). next(1,2). a(X) | b(X) :- c(X). c(Y) :- a(X), next(X,Y).",
+        "a(0) | b(0) :- c(0).\n"
+        "a(1) | b(1) :- c(1).\n"
+        "a(2) | b(2) :- c(2).\n"
+        "c(0).\n"
+        "c(1) :- a(0), next(0,1).\n"
+        "c(2) :- a(1), next(1,2).\n"
+        "next(0,1).\nnext(1,2).",
+    ),
+    "two-predicate cycle": ("p :- q. q :- p.", ""),
+    "two-predicate cycle entered from outside": (
+        "r. p :- q. q :- p. q :- r.",
+        "p :- q.\nq :- p.\nq :- r.\nr.",
+    ),
+    "constants in bound argument positions": (
+        "e(1,a). e(2,b). e(3,a). e(4,f(1)). p(X) :- e(X,a)."
+        " q(X,Y) :- p(X), e(Y,a), X < Y. r(X) :- e(X,f(1)).",
+        "e(1,a).\ne(2,b).\ne(3,a).\ne(4,f(1)).\n"
+        "p(1) :- e(1,a).\n"
+        "p(3) :- e(3,a).\n"
+        "q(1,3) :- e(3,a), p(1).\n"
+        "r(4) :- e(4,f(1)).",
+    ),
+    "recursive aggregate (rejected by the checker)": (
+        "p(1). p(2) :- #count{X : p(X)} >= 1. p(3) :- #count{X : p(X)} >= 2."
+        " p(4) :- #count{X : p(X)} >= 5.",
+        "p(1).\n"
+        "p(2) :- #count{1 : p(1); 2 : p(2); 3 : p(3); 4 : p(4)} >= 1.\n"
+        "p(3) :- #count{1 : p(1); 2 : p(2); 3 : p(3); 4 : p(4)} >= 2.\n"
+        "p(4) :- #count{1 : p(1); 2 : p(2); 3 : p(3); 4 : p(4)} >= 5.",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_PROGRAMS))
+def test_component_grounding_pinned_and_agrees_with_naive(name):
+    text, expected = COMPONENT_PROGRAMS[name]
+    smart = ground(text, max_int=4, max_nesting=1)
+    assert smart.to_text() == expected
+    naive = ground(text, max_int=4, max_nesting=1, naive=True)
+    assert answer_sets(smart) == answer_sets(naive)
+
+
+@pytest.mark.parametrize("max_int", [5, 6])
+def test_semi_naive_rounds_stop_at_the_same_bound(max_int):
+    with pytest.raises(BoundExceeded) as caught:
+        ground("p(0). p(X+1) :- p(X).", max_int=max_int, max_nesting=0)
+    assert str(caught.value) == (
+        f"derived atom p({max_int + 1}) contains integer {max_int + 1} "
+        f"beyond the maximum {max_int}"
+    )
+
+
+def reach_text(n):
+    facts = " ".join(f"edge({i},{i + 1})." for i in range(n))
+    return facts + " reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z)."
+
+
+def unifications(monkeypatch, text):
+    """Ground `text`, counting the grounder's unification steps."""
+    calls = 0
+    unify = ground_module._unify
+
+    def counting(pattern, value, state):
+        nonlocal calls
+        calls += 1
+        return unify(pattern, value, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ground_module, "_unify", counting)
+        grounded = ground(text, max_int=100, max_nesting=0)
+    return calls, len(grounded.rules)
+
+
+def test_grounding_work_grows_with_the_ground_program(monkeypatch):
+    small_work, small_rules = unifications(monkeypatch, reach_text(20))
+    large_work, large_rules = unifications(monkeypatch, reach_text(40))
+    assert (small_rules, large_rules) == (230, 860)
+    assert large_work / small_work <= 1.5 * large_rules / small_rules
 
 
 # --------------------------------------------------------------------------

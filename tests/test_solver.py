@@ -255,6 +255,26 @@ def test_capacity_limit_raises():
     assert len(answer_sets(ground(text[: text.index(".") + 1]))) == 2
 
 
+QUEENS_4 = """num(1). num(2). num(3). num(4).
+{q(X,Y) : num(Y)} = 1 :- num(X).
+:- q(X1,Y), q(X2,Y), X1 < X2."""
+
+
+def test_capacity_error_names_the_largest_predicates():
+    with pytest.raises(CapacityExceeded) as caught:
+        answer_sets(ground(QUEENS_4))
+    assert str(caught.value) == (
+        "candidate base has 36 atoms, above the brute-force limit 24; "
+        "most atoms: __aux_q_0/3 (16), q/2 (16), num/1 (4)"
+    )
+
+
+def test_capacity_error_counts_the_predicates_not_shown():
+    with pytest.raises(CapacityExceeded) as caught:
+        answer_sets(ground("a | b. c | d. -a | e."), brute_force_limit=4)
+    assert str(caught.value).endswith("most atoms: -a/0 (1), a/0 (1), b/0 (1) and 3 more predicates")
+
+
 def test_projection_strips_auxiliary_atoms():
     models = solve("{a}.")
     assert set(models) == sets_of(set(), {atom("a")})
@@ -451,3 +471,15 @@ def test_query_answer_shape():
 def test_project_interpretation_keeps_user_atoms():
     full = frozenset({atom("a"), atom(make_aux_name("a", 0), IntegerConstant(1))})
     assert project_interpretation(full) == frozenset({atom("a")})
+
+
+def test_true_builtin_in_aggregate_condition_is_not_an_atom():
+    # naive grounding keeps `S = 2*X` in the element condition; packing once
+    # took it for an atom outside the candidate base and dropped the element
+    text = "b(1). b(2). h :- #sum{S : b(X), S = 2*X} > 3."
+    program = desugar(parse_program(text))
+    bounds = UniverseBounds(max_int=4, max_nesting=0)
+    naive = answer_sets(ground_program(program, bounds, naive=True))
+    assert naive == answer_sets(ground_program(program, bounds))
+    one, two = IntegerConstant(1), IntegerConstant(2)
+    assert naive == (frozenset({atom("h"), atom("b", one), atom("b", two)}),)
