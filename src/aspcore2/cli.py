@@ -255,7 +255,8 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
         type=_nonnegative,
         default=24,
         metavar="K",
-        help="largest candidate atom count accepted by the enumerator",
+        help="largest number of undecided candidate atoms accepted by the "
+        "enumerator; atoms the facts fix true or false do not count",
     )
 
 

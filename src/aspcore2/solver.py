@@ -2,9 +2,13 @@
 programs.
 
 The reference operations (literal satisfaction, models, reducts) work
-directly on atom sets. Enumeration runs on the packed bitmask kernels and
-emitted answer sets are re-checked against the reference operations:
-minimality only up to 12 atoms, above that only by the kernel cross-check.
+directly on atom sets. Enumeration packs the ground program, fixes the
+atoms the facts decide (`_fold`), and runs a bitmask kernel over the open
+atoms only. Every emitted answer set is re-checked against the reference
+operations on the unsimplified ground program: consistency and modelhood
+always, minimality by the shifted reduct at any size, and by a submask
+sweep of up to 12 atoms where the reduct has a head cycle or an aggregate
+in a rule with a head.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import kernel as _kernel
+from ._fold import fold_fixed
 from ._packed import pack_program
-from .analysis import atom_signature, signature_to_text
+from .analysis import DependencyGraph, atom_signature, signature_to_text
 from .errors import CapacityExceeded
 from .ground import (
     GREATER,
@@ -181,24 +186,109 @@ def _is_consistent(interpretation: Interpretation) -> bool:
     )
 
 
+def _least_model(rules: list[tuple[ClassicalAtom, frozenset[ClassicalAtom]]]) -> set:
+    """Least model of definite rules given as (head, positive body)."""
+    waiting: dict[ClassicalAtom, list[int]] = {}
+    missing = []
+    queue = []
+    for index, (head, body) in enumerate(rules):
+        missing.append(len(body))
+        for atom in body:
+            waiting.setdefault(atom, []).append(index)
+        if not body:
+            queue.append(head)
+    derived: set[ClassicalAtom] = set()
+    while queue:
+        atom = queue.pop()
+        if atom in derived:
+            continue
+        derived.add(atom)
+        for index in waiting.get(atom, ()):
+            missing[index] -= 1
+            if missing[index] == 0:
+                queue.append(rules[index][0])
+    return derived
+
+
+def _head_cycle_free(
+    rules: list[tuple[frozenset[ClassicalAtom], frozenset[ClassicalAtom]]]
+) -> bool:
+    """No two atoms of one head share a strongly connected component of the
+    positive dependency graph (body atom -> head atom)."""
+    ids: dict[ClassicalAtom, int] = {}
+    for head, body in rules:
+        for atom in head | body:
+            ids.setdefault(atom, len(ids))
+    edges = frozenset(
+        (ids[b], ids[h]) for head, body in rules for b in body for h in head
+    )
+    component = {}
+    for number, members in enumerate(
+        DependencyGraph(frozenset(ids.values()), edges).components()
+    ):
+        for vertex in members:
+            component[vertex] = number
+    for head, _body in rules:
+        numbers = [component[ids[atom]] for atom in head]
+        if len(set(numbers)) < len(numbers):
+            return False
+    return True
+
+
+def _minimal_by_shifting(
+    red: GroundProgram, interpretation: Interpretation
+) -> Optional[bool]:
+    """Whether a model is minimal for its reduct, decided without a submask
+    sweep; None when this check cannot decide.
+
+    Inside the model, a kept rule without aggregates acts as `H & I :- B+`:
+    its naf literals stay true. If the model is the least model of the
+    shifted reduct, `h :- B+` for each kept rule whose head meets the model
+    in `h` alone, every model of the reduct inside it contains that least
+    model, so it is minimal. If not, it is not minimal when the reduct is
+    head-cycle-free (Ben-Eliyahu & Dechter 1994), and the check cannot tell
+    otherwise.
+    """
+    positive = []
+    for rule in red.rules:
+        if any(isinstance(l, AggregateLiteral) for l in rule.body):
+            return None
+        body = frozenset(
+            l.atom
+            for l in rule.body
+            if not l.naf and isinstance(l.atom, ClassicalAtom)
+        )
+        positive.append((frozenset(rule.head) & interpretation, body))
+    shifted = [(next(iter(head)), body) for head, body in positive if len(head) == 1]
+    if _least_model(shifted) == interpretation:
+        return True
+    return False if _head_cycle_free(positive) else None
+
+
 def _verify_answer_set(
     ground_program: GroundProgram, interpretation: Interpretation
-) -> None:
-    """Post-hoc reference check of one emitted answer set."""
+) -> bool:
+    """Post-hoc reference check of one emitted answer set; whether its
+    minimality was checked."""
     if not _is_consistent(interpretation):
         raise RuntimeError("internal error: inconsistent answer set emitted")
     if not is_model(ground_program, interpretation):
         raise RuntimeError("internal error: emitted answer set is not a model")
-    if len(interpretation) > 12:
-        return
     red = reduct(ground_program, interpretation)
-    atoms = sorted(interpretation, key=atom_order_key)
-    for mask in range((1 << len(atoms)) - 1):
-        subset = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        if is_model(red, subset):
-            raise RuntimeError(
-                "internal error: emitted answer set is not minimal for its reduct"
-            )
+    minimal = _minimal_by_shifting(red, interpretation)
+    if minimal is None:
+        if len(interpretation) > 12:
+            return False
+        atoms = sorted(interpretation, key=atom_order_key)
+        minimal = not any(
+            is_model(red, frozenset(a for i, a in enumerate(atoms) if mask >> i & 1))
+            for mask in range((1 << len(atoms)) - 1)
+        )
+    if not minimal:
+        raise RuntimeError(
+            "internal error: emitted answer set is not minimal for its reduct"
+        )
+    return True
 
 
 def _largest_predicates(atoms: Iterable[ClassicalAtom]) -> str:
@@ -222,33 +312,44 @@ def answer_sets(
 ) -> tuple[Interpretation, ...]:
     """All answer sets, projected onto the user signature and sorted.
 
-    Enumerates consistent subsets of the derivable head atoms with the
-    packed kernel, keeps the minimal models of their own reducts, and
-    re-checks each result against the reference operations (minimality
-    only up to 12 atoms).
+    Packs the ground program over its derivable head atoms, fixes the atoms
+    the facts decide and folds them out (`_fold`), and enumerates the
+    consistent subsets of the open atoms with the packed kernel, keeping
+    the minimal models of their own reducts. `brute_force_limit` bounds the
+    open atoms only. Each result is re-checked against the reference
+    operations on `ground_program` (see `_verify_answer_set`); the pure
+    kernel re-runs as a cross-check only when the compiled kernel produced
+    an answer set whose minimality that check left open.
     """
     packed = pack_program(ground_program)
-    if packed.size > brute_force_limit:
+    folded = fold_fixed(packed.flat())
+    undecided = len(folded.open_bits)
+    if undecided > brute_force_limit:
+        open_atoms = [packed.atoms[i] for i in folded.open_bits]
         raise CapacityExceeded(
-            f"candidate base has {packed.size} atoms, above the brute-force "
-            f"limit {brute_force_limit}; {_largest_predicates(packed.atoms)}"
+            f"candidate base has {packed.size} atoms, {undecided} of them "
+            f"undecided, above the brute-force limit {brute_force_limit}; "
+            f"{_largest_predicates(open_atoms)}"
         )
-    flat = packed.flat()
-    masks = _kernel.solve_masks(flat, kernel)
-    raw: list[Interpretation] = [
-        frozenset(atom for i, atom in enumerate(packed.atoms) if mask >> i & 1)
-        for mask in masks
-    ]
+    masks = _kernel.solve_masks(folded.flat, kernel)
+    raw: list[Interpretation] = []
+    for mask in masks:
+        full = folded.unfold(mask)
+        raw.append(
+            frozenset(atom for i, atom in enumerate(packed.atoms) if full >> i & 1)
+        )
     if verify:
-        for interpretation in raw:
-            _verify_answer_set(ground_program, interpretation)
+        unchecked = [
+            not _verify_answer_set(ground_program, interpretation)
+            for interpretation in raw
+        ]
         if (
-            any(len(i) > 12 for i in raw)
+            any(unchecked)
             and kernel != "python"
             and _kernel.compiled_available()
-            and _kernel.fits_compiled(flat)
+            and _kernel.fits_compiled(folded.flat)
         ):
-            if _kernel.solve_masks(flat, "python") != masks:
+            if _kernel.solve_masks(folded.flat, "python") != masks:
                 raise RuntimeError("internal error: kernels disagree")
     results = raw
     if project:

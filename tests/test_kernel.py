@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from aspcore2 import kernel
+from aspcore2._fold import fold_fixed
 from aspcore2._packed import pack_program
 from aspcore2.ground import UniverseBounds, ground_program
 from aspcore2.parser import parse_program
@@ -62,6 +63,18 @@ def test_kernels_agree_on_random_programs():
     for _ in range(200):
         program = random_ground_program(rng, with_weaks=False)
         flat = pack_program(program).flat()
+        compiled = kernel.solve_masks(flat, "compiled")
+        pure = kernel.solve_masks(flat, "python")
+        assert sorted(compiled) == sorted(pure)
+
+
+@needs_compiled_kernel
+def test_kernels_agree_on_folded_programs():
+    assert kernel.compiled_available()
+    rng = random.Random(31)
+    for _ in range(200):
+        program = random_ground_program(rng, with_weaks=False)
+        flat = fold_fixed(pack_program(program).flat()).flat
         compiled = kernel.solve_masks(flat, "compiled")
         pure = kernel.solve_masks(flat, "python")
         assert sorted(compiled) == sorted(pure)

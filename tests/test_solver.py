@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspcore2 import kernel
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
 from aspcore2.parser import parse_program
@@ -264,8 +265,8 @@ def test_capacity_error_names_the_largest_predicates():
     with pytest.raises(CapacityExceeded) as caught:
         answer_sets(ground(QUEENS_4))
     assert str(caught.value) == (
-        "candidate base has 36 atoms, above the brute-force limit 24; "
-        "most atoms: __aux_q_0/3 (16), q/2 (16), num/1 (4)"
+        "candidate base has 36 atoms, 32 of them undecided, above the "
+        "brute-force limit 24; most atoms: __aux_q_0/3 (16), q/2 (16)"
     )
 
 
@@ -273,6 +274,67 @@ def test_capacity_error_counts_the_predicates_not_shown():
     with pytest.raises(CapacityExceeded) as caught:
         answer_sets(ground("a | b. c | d. -a | e."), brute_force_limit=4)
     assert str(caught.value).endswith("most atoms: -a/0 (1), a/0 (1), b/0 (1) and 3 more predicates")
+
+
+# --------------------------------------------------------------------------
+# Atoms fixed before enumeration
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a constraint must not fix `a` true: {a, c} is not minimal
+        "a | c. c :- a. :- not a.",
+        "a. b :- not a.",
+        "x. -x :- y. y.",
+        "r(1). r(2). big :- #sum{X : r(X)} >= 3.",
+        "a | b :- c. c.",
+    ],
+)
+def test_fixing_keeps_the_answer_sets(text):
+    program = ground(text)
+    got = {frozenset(i) for i in answer_sets(program, project=False)}
+    assert got == oracle_answer_sets(program.rules)
+
+
+def test_program_decided_by_its_facts_needs_no_enumeration():
+    edges = " ".join(f"edge({i},{i + 1})." for i in range(7))
+    text = edges + " reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z)."
+    (model,) = answer_sets(ground(text), brute_force_limit=0)
+    assert len(model) == 7 + 28
+
+
+CYCLE_4_TWO_COLOURS = """node(1). node(2). node(3). node(4).
+edge(1,2). edge(2,3). edge(3,4). edge(4,1). col(r). col(g).
+{colour(X,C) : col(C)} = 1 :- node(X).
+:- edge(X,Y), colour(X,C), colour(Y,C)."""
+
+
+def test_limit_counts_only_undecided_atoms():
+    program = ground(CYCLE_4_TWO_COLOURS)
+    assert len(answer_sets(program, brute_force_limit=16)) == 2
+    with pytest.raises(CapacityExceeded) as caught:
+        answer_sets(program, brute_force_limit=15)
+    assert str(caught.value).startswith(
+        "candidate base has 26 atoms, 16 of them undecided, above the "
+        "brute-force limit 15; "
+    )
+
+
+# --------------------------------------------------------------------------
+# Verification of emitted answer sets
+
+
+def test_verification_rejects_a_large_non_minimal_set(monkeypatch):
+    facts = " ".join(f"f{i}." for i in range(13))
+    program = ground(facts + " p | q.")
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat, choice=None: [(1 << flat[0]) - 1])
+    with pytest.raises(RuntimeError, match="not minimal"):
+        answer_sets(program, kernel="python")
+
+
+def test_verification_sweeps_a_reduct_with_a_head_cycle():
+    assert solve("a | b. a :- b. b :- a.") == (frozenset({atom("a"), atom("b")}),)
 
 
 def test_projection_strips_auxiliary_atoms():
