@@ -1,10 +1,12 @@
-"""Compare the compiled and pure enumeration kernels on identical inputs.
+"""Time the search kernel next to the brute-force kernels on identical inputs.
 
-Usage: python3 benchmarks/bench_kernel.py [--copies N] [--programs K]
+Usage: python3 benchmarks/bench_kernel.py [--copies N] [--programs K] [--chain N]
 
 Generates random ground programs (merging disjoint renamed copies to widen
-the candidate atom base), packs each once, then times solve_masks with both
-kernels over the same packed inputs and checks that the masks agree.
+the candidate atom base) and the chain program `a_i :- not b_i. b_i :- not
+a_i.`, packs and folds each once, then times `_search.solve_masks`, the pure
+brute-force kernel and, when it is built, the compiled one over the same
+folded inputs, and checks that their masks agree.
 """
 
 import argparse
@@ -15,7 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from aspcore2 import kernel
+from aspcore2 import _search, kernel
+from aspcore2._fold import fold_fixed
 from aspcore2._packed import pack_program
 from aspcore2.ground import GroundProgram
 from aspcore2.syntax import ClassicalAtom, NafLiteral, Rule
@@ -33,24 +36,36 @@ def renamed(rule, copy):
     return Rule(head, body)
 
 
+def folded(rules):
+    return fold_fixed(pack_program(GroundProgram(tuple(rules))).flat()).flat
+
+
 def generate(rng, copies, low, high):
     while True:
         rules = []
         for copy in range(copies):
             part = random_ground_program(rng, with_aggregates=False, atom_count=8)
             rules.extend(renamed(rule, copy) for rule in part.rules)
-        flat = pack_program(GroundProgram(tuple(rules))).flat()
+        flat = folded(rules)
         if low <= flat[0] <= high:
             return flat
 
 
-def time_kernel(name, flats, repeats):
+def chain(n):
+    rules = []
+    for i in range(n):
+        a, b = ClassicalAtom(f"a{i}"), ClassicalAtom(f"b{i}")
+        rules += [Rule((a,), (NafLiteral(b, True),)), Rule((b,), (NafLiteral(a, True),))]
+    return folded(rules)
+
+
+def time_kernel(solve, flats, repeats):
     total = 0.0
     for flat in flats:
         samples = []
         for _ in range(repeats):
             start = time.perf_counter()
-            kernel.solve_masks(flat, name)
+            solve(flat)
             samples.append(time.perf_counter() - start)
         total += min(samples)
     return total
@@ -62,33 +77,43 @@ def main(argv=None):
     parser.add_argument("--min-atoms", type=int, default=14)
     parser.add_argument("--max-atoms", type=int, default=17)
     parser.add_argument("--programs", type=int, default=10, help="programs to time")
+    parser.add_argument("--chain", type=int, default=9, help="pairs in the chain program")
     parser.add_argument("--repeats", type=int, default=3, help="timings per program")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    if not kernel.compiled_available():
-        print("compiled kernel not built; nothing to compare", file=sys.stderr)
-        return 1
-
     rng = random.Random(args.seed)
-    flats = [
-        generate(rng, args.copies, args.min_atoms, args.max_atoms)
-        for _ in range(args.programs)
-    ]
-    sizes = [flat[0] for flat in flats]
-    print(f"programs: {len(flats)}  candidate atoms: min {min(sizes)} max {max(sizes)}")
+    inputs = {
+        "random": [
+            generate(rng, args.copies, args.min_atoms, args.max_atoms)
+            for _ in range(args.programs)
+        ],
+        f"chain-{args.chain}": [chain(args.chain)],
+    }
+    sizes = [flat[0] for flat in inputs["random"]]
+    print(f"random programs: {len(sizes)}, open atoms {min(sizes)}-{max(sizes)}; "
+          f"chain-{args.chain}: {inputs[f'chain-{args.chain}'][0][0]} open atoms")
 
-    compiled = time_kernel("compiled", flats, args.repeats)
-    pure = time_kernel("python", flats, args.repeats)
+    kernels = {
+        # a limit of every atom lets no sweep refuse
+        "search": lambda flat: _search.solve_masks(flat, brute_force_limit=flat[0]),
+        "python": lambda flat: kernel.solve_masks(flat, "python"),
+    }
+    if kernel.compiled_available():
+        kernels["compiled"] = lambda flat: kernel.solve_masks(flat, "compiled")
+    else:
+        print("compiled kernel not built; timing the pure kernels only")
+
+    print(f"{'kernel':<10}" + "".join(f"{name:>14}" for name in inputs))
+    for name, solve in kernels.items():
+        times = [time_kernel(solve, flats, args.repeats) for flats in inputs.values()]
+        print(f"{name:<10}" + "".join(f"{t:>13.4f}s" for t in times))
     agree = all(
-        sorted(kernel.solve_masks(f, "compiled"))
-        == sorted(kernel.solve_masks(f, "python"))
-        for f in flats
+        len({tuple(sorted(solve(flat))) for solve in kernels.values()}) == 1
+        for flats in inputs.values()
+        for flat in flats
     )
-    print(f"compiled kernel: {compiled:.4f}s total")
-    print(f"pure kernel:     {pure:.4f}s total")
-    print(f"speedup:         {pure / compiled:.1f}x")
-    print(f"results agree:   {agree}")
+    print(f"results agree: {agree}")
     return 0 if agree else 1
 
 

@@ -1,7 +1,8 @@
 """Fixing the atoms the facts decide, and folding them out of the packed
-arrays before enumeration.
+arrays before the search or a brute-force kernel runs; the propagation
+the search repeats at every node.
 
-One fixpoint over the kernels' flat arrays fixes atoms in two ways:
+One fixpoint over the flat arrays the kernels read fixes atoms in two ways:
 
 - true: a rule whose body is certainly true has one head atom that is not
   fixed false;
@@ -13,8 +14,8 @@ A body is certainly true when its positive atoms are fixed true, its naf
 atoms fixed false, and every aggregate has all of its condition atoms fixed
 and holds on them. Conflicts count as constraints. A constraint never fixes
 an atom true: a true-fixed atom must belong to every model of the reduct
-below the answer set, or the folded minimality sweep would accept sets that
-are not minimal.
+below the answer set, or a minimality sweep over the folded arrays would
+accept sets that are not minimal.
 
 Folding drops each rule whose body is false or whose head holds a
 fixed-true atom, deletes the fixed atoms from the remaining masks and
@@ -25,8 +26,10 @@ when M' with the fixed-true atoms added is one of the packed program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from ._kernel_py import _aggregate_true
+from ._kernel_py import _aggregate_true, _relation_truth
+from ._packed import KIND_COUNT, KIND_MAX, KIND_MIN
 
 
 @dataclass(frozen=True)
@@ -54,97 +57,228 @@ def _single_bit(mask: int) -> bool:
     return mask != 0 and mask & (mask - 1) == 0
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# the relation code r' with `g r v` exactly when `v r' g`, so a left guard
+# reads like a right one
+_FLIPPED = (1, 0, 3, 2, 4, 5)
+
+
+def _range_truth(low: int, high: int, rel: int, guard: int) -> Optional[bool]:
+    """The truth of `v rel guard` for every v in [low, high]; None when it
+    varies."""
+    at_low = _relation_truth((low > guard) - (low < guard), rel)
+    if low == high:
+        return at_low
+    at_high = _relation_truth((high > guard) - (high < guard), rel)
+    # = and != (codes 4 and 5) also change inside the range
+    if at_low != at_high or (rel >= 4 and low <= guard <= high):
+        return None
+    return at_low
+
+
 class _Fixpoint:
-    def __init__(self, flat) -> None:
+    """Propagation over the kernels' flat arrays, driven by occurrence
+    lists: fixing an atom revisits only the rules that mention it, and the
+    support of the head atoms of each rule that can no longer fire.
+
+    With `search` off (folding), a rule acts as described at the top of
+    this module. With it on, a partial assignment of the search also
+    - refutes an open naf atom: it becomes true when it is the one open
+      literal of a rule whose head atoms are all false;
+    - bounds `#count` and `#sum`: the lowest and highest values the open
+      condition atoms still allow decide the guards once the whole range
+      falls on one side (`#min` and `#max` wait for all their atoms);
+    - stops at a conflict: a certain body without a live head atom, or a
+      true atom that no rule can still support.
+    Folding leaves these out because its fixed-true atoms must lie in every
+    model of the reduct below an answer set, and a constraint that makes an
+    atom true gives no such guarantee.
+    """
+
+    def __init__(self, flat, search: bool = False) -> None:
         size, conflicts, rules, agg_index, aggs, tuples, conds = flat
         self.flat = flat
-        self.true = 0
-        self.false = 0
-        self.open = (1 << size) - 1
+        self.search = search
         # conflicts act as constraints over both atoms
-        self.rules = list(rules) + [(0, c, 0, 0, 0) for c in conflicts]
-        # every atom an aggregate's conditions mention
+        self.rules = [
+            (head, pos, neg, agg_index[astart : astart + acount])
+            for head, pos, neg, astart, acount in rules
+        ] + [(0, c, 0, ()) for c in conflicts]
+        # per aggregate: every atom its conditions mention, and its tuples
+        # as (weight, condition rows)
         self.agg_atoms = []
+        self.agg_tuples = []
         for meta in aggs:
             atoms = 0
-            for t in range(meta[10], meta[10] + meta[11]):
-                cstart, ccount = tuples[t][4], tuples[t][5]
-                for pos, neg in conds[cstart : cstart + ccount]:
+            rows_of = []
+            for weight, _, _, _, cstart, ccount in tuples[meta[10] : meta[10] + meta[11]]:
+                rows = conds[cstart : cstart + ccount]
+                for pos, neg in rows:
                     atoms |= pos | neg
+                rows_of.append((1 if meta[1] == KIND_COUNT else weight, rows))
             self.agg_atoms.append(atoms)
-        self.agg_truth: dict[int, bool] = {}
+            self.agg_tuples.append(rows_of)
+        # occurrence lists: the rules mentioning each atom, as a mask of
+        # rule ids, and the rules with the atom in their head
+        self.watch = [0] * size
+        self.heads: list[list[int]] = [[] for _ in range(size)]
+        for number, (head, pos, neg, indices) in enumerate(self.rules):
+            atoms = head | pos | neg
+            for index in indices:
+                atoms |= self.agg_atoms[index]
+            for j in _bits(atoms):
+                self.watch[j] |= 1 << number
+            for j in _bits(head):
+                self.heads[j].append(number)
 
-    def aggregate(self, index: int):
-        """True or False once every condition atom is fixed, else None."""
-        if index in self.agg_truth:
-            return self.agg_truth[index]
-        if self.agg_atoms[index] & self.open:
-            return None
+    def aggregate(self, index: int, true: int, false: int) -> Optional[bool]:
+        """True or False once the assignment decides the aggregate, else
+        None."""
         _, _, _, _, aggs, tuples, conds = self.flat
-        truth = _aggregate_true(self.true, aggs[index], tuples, conds)
-        self.agg_truth[index] = truth
-        return truth
+        meta = aggs[index]
+        if not self.agg_atoms[index] & ~(true | false):
+            return _aggregate_true(true, meta, tuples, conds)
+        if not self.search or meta[1] in (KIND_MAX, KIND_MIN):
+            return None
+        low = high = 0
+        for weight, rows in self.agg_tuples[index]:
+            possible = certain = False
+            for pos, neg in rows:
+                if pos & false or neg & true:
+                    continue
+                possible = True
+                if not (pos & ~true or neg & ~false):
+                    certain = True
+                    break
+            if certain:
+                low += weight
+                high += weight
+            elif possible:
+                if weight > 0:
+                    high += weight
+                else:
+                    low += weight
+        naf, _, has_left, left_rel, left_is_int, left_val = meta[:6]
+        has_right, right_rel, right_is_int, right_val = meta[6:10]
+        truth: Optional[bool] = True
+        if has_left:
+            # a symbolic guard follows every integer
+            truth = (
+                _range_truth(low, high, _FLIPPED[left_rel], left_val)
+                if left_is_int
+                else _relation_truth(1, left_rel)
+            )
+        if truth is not False and has_right:
+            right = (
+                _range_truth(low, high, right_rel, right_val)
+                if right_is_int
+                else _relation_truth(-1, right_rel)
+            )
+            if truth or right is False:
+                truth = right
+        return None if truth is None else truth != bool(naf)
 
-    def body(self, rule):
-        """False when the body can never hold, True when it certainly holds,
-        None otherwise."""
-        _, pos, neg, astart, acount = rule
-        if pos & self.false or neg & self.true:
-            return False
-        certain = not (pos & ~self.true or neg & ~self.false)
-        agg_index = self.flat[3]
-        for a in range(astart, astart + acount):
-            truth = self.aggregate(agg_index[a])
+    def _undecided(self, indices, true: int, false: int) -> Optional[int]:
+        """How many of the aggregates `indices` are undecided; None when one
+        is false."""
+        undecided = 0
+        for index in indices:
+            truth = self.aggregate(index, true, false)
             if truth is False:
-                return False
+                return None
             if truth is None:
-                certain = False
-        return True if certain else None
+                undecided += 1
+        return undecided
 
-    def fix(self, mask: int, truth: bool) -> None:
-        if truth:
-            self.true |= mask
-        else:
-            self.false |= mask
-        self.open &= ~mask
+    def body(self, number: int, true: int, false: int) -> Optional[bool]:
+        """False when rule `number`'s body can never hold, True when it
+        certainly holds, None otherwise."""
+        _, pos, neg, indices = self.rules[number]
+        if pos & false or neg & true:
+            return False
+        undecided = self._undecided(indices, true, false)
+        if undecided is None:
+            return False
+        return None if undecided or pos & ~true or neg & ~false else True
 
-    def run(self) -> None:
-        while True:
-            before = self.open
-            supported = 0
-            for rule in self.rules:
-                head, pos, neg, astart, acount = rule
-                if head & self.true:
+    def _supported(self, j: int, true: int, false: int) -> bool:
+        """Whether a rule can still fire with atom j as its only true head
+        atom."""
+        others = true & ~(1 << j)
+        return any(
+            not self.rules[number][0] & others
+            and self.body(number, true, false) is not False
+            for number in self.heads[j]
+        )
+
+    def propagate(
+        self, true: int, false: int, rules: int, atoms: int
+    ) -> Optional[tuple[int, int]]:
+        """The fixpoint from (true, false) as (true, false), revisiting first
+        the rules in the mask `rules` and the support of the atoms in the
+        mask `atoms`; None at a conflict when searching."""
+        table = self.rules
+        search = self.search
+        while rules or atoms:
+            fixed = 0
+            while rules:
+                low = rules & -rules
+                rules ^= low
+                head, pos, neg, indices = table[low.bit_length() - 1]
+                if head & true or pos & false or neg & true:
+                    atoms |= head
                     continue
-                truth = self.body(rule)
-                if truth is False:
+                undecided = self._undecided(indices, true, false) if indices else 0
+                if undecided is None:
+                    atoms |= head
                     continue
-                supported |= head & self.open
-                live_head = head & ~self.false
-                if truth is True:
-                    if head and _single_bit(live_head):
-                        self.fix(live_head, True)
-                elif not live_head:
-                    unsure = pos & ~self.true
-                    rest = (0, pos & ~unsure, neg, astart, acount)
-                    if _single_bit(unsure) and self.body(rest) is True:
-                        self.fix(unsure, False)
-            self.fix(self.open & ~supported, False)
-            if self.open == before:
-                return
+                live = head & ~false
+                open_pos, open_neg = pos & ~true, neg & ~false
+                if not (open_pos or open_neg or undecided):
+                    if _single_bit(live):
+                        true |= live
+                        fixed |= live
+                    elif not live and search:
+                        return None
+                elif live or undecided:
+                    continue
+                elif _single_bit(open_pos) and not open_neg:
+                    # refute the one open literal of a certain rest
+                    false |= open_pos
+                    fixed |= open_pos
+                elif search and _single_bit(open_neg) and not open_pos:
+                    true |= open_neg
+                    fixed |= open_neg
+            for j in _bits(atoms & ~false & (~0 if search else ~true)):
+                if not self._supported(j, true, false):
+                    if true >> j & 1:
+                        return None
+                    false |= 1 << j
+                    fixed |= 1 << j
+            atoms = 0
+            for j in _bits(fixed):
+                rules |= self.watch[j]
+        return true, false
 
 
 def fold_fixed(flat) -> Folded:
     """Fix what the fixpoint decides and fold it out of `flat`."""
-    state = _Fixpoint(flat)
-    state.run()
     size, conflicts, rules, agg_index, aggs, tuples, conds = flat
-    true, false = state.true, state.false
-    open_bits = tuple(i for i in range(size) if state.open >> i & 1)
+    state = _Fixpoint(flat)
+    everything = (1 << size) - 1
+    true, false = state.propagate(0, 0, (1 << len(state.rules)) - 1, everything)
+    unfixed = everything & ~(true | false)
+    open_bits = tuple(_bits(unfixed))
     renumbered: dict[int, int] = {}
 
     def squeeze(mask: int) -> int:
-        mask &= state.open
+        mask &= unfixed
         if mask not in renumbered:
             renumbered[mask] = sum(
                 1 << j for j, bit in enumerate(open_bits) if mask >> bit & 1
@@ -157,14 +291,13 @@ def fold_fixed(flat) -> Folded:
     out_aggs: list[tuple[int, ...]] = []
     out_tuples: list[tuple[int, ...]] = []
     out_conds: list[tuple[int, int]] = []
-    for rule in rules:
-        head, pos, neg, astart, acount = rule
-        if head & true or state.body(rule) is False:
+    for number, (head, pos, neg, astart, acount) in enumerate(rules):
+        if head & true or state.body(number, true, false) is False:
             continue
         start = len(out_index)
         for a in range(astart, astart + acount):
             index = agg_index[a]
-            if state.aggregate(index) is True:
+            if state.aggregate(index, true, false) is True:
                 continue
             meta = aggs[index]
             tuple_start = len(out_tuples)

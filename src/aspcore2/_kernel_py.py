@@ -94,6 +94,20 @@ def _body_true(mask: int, rule, agg_index, aggs, tuples, conds) -> bool:
     return True
 
 
+def _minimal(mask: int, kept, agg_index, aggs, tuples, conds) -> bool:
+    """Whether no proper submask of the model `mask` satisfies the rules
+    `kept`, its reduct: a sweep over all 2^|mask| submasks."""
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        if not any(
+            _body_true(sub, rule, agg_index, aggs, tuples, conds) and not sub & rule[0]
+            for rule in kept
+        ):
+            return False
+    return True
+
+
 def solve_masks(flat) -> list[int]:
     """All answer-set bitmasks of the packed program, ascending."""
     size, conflicts, rules, agg_index, aggs, tuples, conds = flat
@@ -116,24 +130,6 @@ def solve_masks(flat) -> list[int]:
                 kept.append(rule)
         if not model:
             continue
-        minimal = True
-        if mask:
-            sub = (mask - 1) & mask
-            while True:
-                refuted = False
-                for rule in kept:
-                    if (
-                        _body_true(sub, rule, agg_index, aggs, tuples, conds)
-                        and (sub & rule[0]) == 0
-                    ):
-                        refuted = True
-                        break
-                if not refuted:
-                    minimal = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-        if minimal:
+        if _minimal(mask, kept, agg_index, aggs, tuples, conds):
             results.append(mask)
     return results

@@ -255,8 +255,10 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
         type=_nonnegative,
         default=24,
         metavar="K",
-        help="largest number of undecided candidate atoms accepted by the "
-        "enumerator; atoms the facts fix true or false do not count",
+        help="most atoms a minimality sweep may range over: the atoms of a "
+        "model of a program with a head cycle or an aggregate in a rule with "
+        "a head (with ASPCORE2_KERNEL set, every atom the facts leave "
+        "undecided)",
     )
 
 

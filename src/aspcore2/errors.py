@@ -35,5 +35,5 @@ class BoundExceeded(AspCoreError):
 
 
 class CapacityExceeded(AspCoreError):
-    """The ground program's candidate atom base is larger than the
-    brute-force enumeration limit."""
+    """Solving ran out of a bound: the search's node budget, or the
+    brute-force limit on the atoms an exhaustive sweep ranges over."""

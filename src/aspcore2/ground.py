@@ -55,6 +55,7 @@ from .syntax import (
     iter_statement_terms,
     iter_subterms,
     rule_to_text,
+    statement_to_text,
     term_variables,
     term_variables_outside_arithmetic,
     weak_constraint_to_text,
@@ -856,6 +857,26 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
 # --------------------------------------------------------------------------
 # Naive grounding: every substitution over the bounded universe
 
+# The most substitutions the naive grounder tries for one statement, those
+# of its aggregate elements included, or for one element on its own. One
+# costs about 50 us on a 2-vCPU Intel Xeon, so the budget is about 5 s.
+NAIVE_INSTANCE_BUDGET = 100_000
+
+
+def _over_naive_budget(count: int, what: str, names: Iterable[str]) -> BoundExceeded:
+    return BoundExceeded(
+        f"naive grounding of {what} would try {count} substitutions of "
+        f"{', '.join(dict.fromkeys(names))}, above the instance budget "
+        f"{NAIVE_INSTANCE_BUDGET}"
+    )
+
+
+def _local_names(element: AggregateElement, bound: Iterable[str]) -> list[str]:
+    local_vars: set[str] = set()
+    for term in iter_element_terms(element):
+        local_vars |= term_variables(term)
+    return sorted(local_vars - set(bound))
+
 
 def instantiate_element(
     element: AggregateElement,
@@ -866,13 +887,11 @@ def instantiate_element(
     """inst(E) for one element: all well-formed local substitutions into the
     universe, arithmetically evaluated, as a deduplicated sorted list."""
     sigma0 = dict(context or {})
-    local_vars: set[str] = set()
-    for term in iter_element_terms(element):
-        local_vars |= term_variables(term)
-    local_vars -= sigma0.keys()
-    if globals_ is not None:
-        local_vars -= globals_
-    names = sorted(local_vars)
+    names = _local_names(element, sigma0.keys() | (globals_ or frozenset()))
+    count = len(universe) ** len(names)
+    if count > NAIVE_INSTANCE_BUDGET:
+        what = f"aggregate element `{aggregate_element_to_text(element)}`"
+        raise _over_naive_budget(count, what, names)
     out: dict[str, AggregateElement] = {}
     for combo in itertools.product(universe, repeat=len(names)):
         sigma = dict(sigma0)
@@ -905,6 +924,18 @@ def _naive_statement_instances(
     statement: Statement, universe: Sequence[Term], globals_: frozenset[str]
 ) -> Iterator[tuple[Substitution, list[BodyLiteral]]]:
     names = sorted(globals_)
+    per_instance = 1
+    every_name = list(names)
+    for literal in statement.body:
+        if isinstance(literal, AggregateLiteral):
+            for element in literal.atom.elements:
+                local = _local_names(element, globals_)
+                per_instance += len(universe) ** len(local)
+                every_name += local
+    count = len(universe) ** len(names) * per_instance
+    if count > NAIVE_INSTANCE_BUDGET:
+        what = f"`{statement_to_text(statement)}`"
+        raise _over_naive_budget(count, what, every_name)
     for combo in itertools.product(universe, repeat=len(names)):
         sigma = dict(zip(names, combo))
         if not is_well_formed(statement, sigma, scope="global"):

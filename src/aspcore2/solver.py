@@ -3,12 +3,13 @@ programs.
 
 The reference operations (literal satisfaction, models, reducts) work
 directly on atom sets. Enumeration packs the ground program, fixes the
-atoms the facts decide (`_fold`), and runs a bitmask kernel over the open
-atoms only. Every emitted answer set is re-checked against the reference
-operations on the unsimplified ground program: consistency and modelhood
-always, minimality by the shifted reduct at any size, and by a submask
-sweep of up to 12 atoms where the reduct has a head cycle or an aggregate
-in a rule with a head.
+atoms the facts decide (`_fold`), and searches the open atoms (`_search`),
+or runs a brute-force kernel over them when one is asked for. Every emitted
+answer set is re-checked against the reference operations on the
+unsimplified ground program: consistency and modelhood always, minimality
+by the shifted reduct at any size, and by a submask sweep of up to 12
+atoms where the reduct has a head cycle or an aggregate in a rule with a
+head.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Optional, Union
 from . import kernel as _kernel
 from ._fold import fold_fixed
 from ._packed import pack_program
+from ._search import SearchExhausted
 from .analysis import DependencyGraph, atom_signature, signature_to_text
 from .errors import CapacityExceeded
 from .ground import (
@@ -313,25 +315,45 @@ def answer_sets(
     """All answer sets, projected onto the user signature and sorted.
 
     Packs the ground program over its derivable head atoms, fixes the atoms
-    the facts decide and folds them out (`_fold`), and enumerates the
-    consistent subsets of the open atoms with the packed kernel, keeping
-    the minimal models of their own reducts. `brute_force_limit` bounds the
-    open atoms only. Each result is re-checked against the reference
-    operations on `ground_program` (see `_verify_answer_set`); the pure
-    kernel re-runs as a cross-check only when the compiled kernel produced
-    an answer set whose minimality that check left open.
+    the facts decide and folds them out (`_fold`), and finds the minimal
+    models of their own reducts among the assignments to the open atoms:
+    by search (`_search`) unless `kernel` or ASPCORE2_KERNEL asks for a
+    brute-force kernel. `brute_force_limit` bounds the atoms of any
+    exhaustive sweep: for the search, a model's atoms where minimality
+    needs a submask sweep; for a brute-force kernel, every open atom.
+    CapacityExceeded also ends a search that spends `_search.NODE_BUDGET`
+    nodes. Each result is re-checked against the reference operations on
+    `ground_program` (see `_verify_answer_set`); the pure kernel re-runs as
+    a cross-check only when the compiled kernel produced an answer set
+    whose minimality that check left open.
     """
     packed = pack_program(ground_program)
     folded = fold_fixed(packed.flat())
-    undecided = len(folded.open_bits)
-    if undecided > brute_force_limit:
-        open_atoms = [packed.atoms[i] for i in folded.open_bits]
-        raise CapacityExceeded(
-            f"candidate base has {packed.size} atoms, {undecided} of them "
-            f"undecided, above the brute-force limit {brute_force_limit}; "
-            f"{_largest_predicates(open_atoms)}"
-        )
-    masks = _kernel.solve_masks(folded.flat, kernel)
+    served = _kernel.served_by(folded.flat, kernel)
+    if served == "search":
+        try:
+            masks = _kernel.solve_masks(
+                folded.flat, kernel, brute_force_limit=brute_force_limit
+            )
+        except SearchExhausted as error:
+            named = [
+                packed.atoms[bit]
+                for j, bit in enumerate(folded.open_bits)
+                if error.atoms >> j & 1
+            ]
+            raise CapacityExceeded(
+                f"{error.message}; {_largest_predicates(named)}"
+            ) from None
+    else:
+        undecided = len(folded.open_bits)
+        if undecided > brute_force_limit:
+            open_atoms = [packed.atoms[i] for i in folded.open_bits]
+            raise CapacityExceeded(
+                f"candidate base has {packed.size} atoms, {undecided} of them "
+                f"undecided, above the brute-force limit {brute_force_limit}; "
+                f"{_largest_predicates(open_atoms)}"
+            )
+        masks = _kernel.solve_masks(folded.flat, kernel)
     raw: list[Interpretation] = []
     for mask in masks:
         full = folded.unfold(mask)
@@ -343,12 +365,7 @@ def answer_sets(
             not _verify_answer_set(ground_program, interpretation)
             for interpretation in raw
         ]
-        if (
-            any(unchecked)
-            and kernel != "python"
-            and _kernel.compiled_available()
-            and _kernel.fits_compiled(folded.flat)
-        ):
+        if any(unchecked) and served == "compiled":
             if _kernel.solve_masks(folded.flat, "python") != masks:
                 raise RuntimeError("internal error: kernels disagree")
     results = raw
@@ -420,20 +437,21 @@ def optimal_answer_sets(
     brute_force_limit: int = 24,
     kernel: Optional[str] = None,
 ) -> tuple[Interpretation, ...]:
-    """The answer sets not dominated by any other answer set."""
+    """The answer sets not dominated by any other answer set, in the order
+    of `answer_sets`.
+
+    Domination compares costs lexicographically over the integer levels,
+    a missing level counting as 0, so the non-dominated sets are those whose
+    costs over the union of all integer levels form the least key.
+    """
     sets = answer_sets(
         ground_program, brute_force_limit=brute_force_limit, kernel=kernel
     )
     costs = [weak_cost(ground_program, i) for i in sets]
-    return tuple(
-        candidate
-        for index, candidate in enumerate(sets)
-        if not any(
-            dominates(costs[other], costs[index])
-            for other in range(len(sets))
-            if other != index
-        )
-    )
+    levels = sorted({l for c in costs for l in c if isinstance(l, int)}, reverse=True)
+    keys = [tuple(c.get(level, 0) for level in levels) for c in costs]
+    best = min(keys, default=None)
+    return tuple(s for s, key in zip(sets, keys) if key == best)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import io
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -242,10 +245,25 @@ def test_solve_models_limit(capsys, tmp_path):
 
 
 def test_solve_capacity_exits_4(capsys, tmp_path):
-    path = source(tmp_path, "a | b. c | d. e | f.")
+    # one model of 6 atoms with head cycles: its sweep exceeds the limit
+    path = source(tmp_path, "a | b. a :- b. b :- a. c | d. c :- d. d :- c. e | f. e :- f. f :- e.")
     code, _out, err = run(capsys, "solve", "--brute-force-limit", "4", path)
     assert code == 4
     assert "brute-force limit" in err
+
+
+def test_naive_grounding_over_its_budget_exits_4():
+    # two element variables over the default universe: 2001^2 substitutions
+    text = "b(1). b(2). h :- #sum{S : b(X), S = 2*X} > 3."
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "aspcore2", "solve", "--naive"],
+        input=text, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "instance budget" in done.stderr and "S, X" in done.stderr
 
 
 def test_solve_opt_prints_costs(capsys, tmp_path):

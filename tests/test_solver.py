@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from aspcore2 import kernel
+from aspcore2 import _search, kernel
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
 from aspcore2.parser import parse_program
@@ -250,7 +250,8 @@ def test_results_are_sorted_and_deduplicated():
 
 
 def test_capacity_limit_raises():
-    text = " ".join(f"a{i} | b{i}." for i in range(15))
+    # one model of 26 atoms with head cycles: its sweep exceeds the limit
+    text = " ".join(f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(13))
     with pytest.raises(CapacityExceeded):
         answer_sets(ground(text), brute_force_limit=24)
     assert len(answer_sets(ground(text[: text.index(".") + 1]))) == 2
@@ -261,19 +262,21 @@ QUEENS_4 = """num(1). num(2). num(3). num(4).
 :- q(X1,Y), q(X2,Y), X1 < X2."""
 
 
-def test_capacity_error_names_the_largest_predicates():
+def test_capacity_error_names_the_largest_predicates(monkeypatch):
+    monkeypatch.setattr(_search, "NODE_BUDGET", 10)
     with pytest.raises(CapacityExceeded) as caught:
         answer_sets(ground(QUEENS_4))
     assert str(caught.value) == (
-        "candidate base has 36 atoms, 32 of them undecided, above the "
-        "brute-force limit 24; most atoms: __aux_q_0/3 (16), q/2 (16)"
+        "search spent its budget of 10 nodes on 32 undecided atoms; "
+        "most atoms: __aux_q_0/3 (16), q/2 (16)"
     )
 
 
 def test_capacity_error_counts_the_predicates_not_shown():
+    text = "a | b. a :- b. b :- a. c | d. c :- d. d :- c. -e | f. -e :- f. f :- -e."
     with pytest.raises(CapacityExceeded) as caught:
-        answer_sets(ground("a | b. c | d. -a | e."), brute_force_limit=4)
-    assert str(caught.value).endswith("most atoms: -a/0 (1), a/0 (1), b/0 (1) and 3 more predicates")
+        answer_sets(ground(text), brute_force_limit=4)
+    assert str(caught.value).endswith("most atoms: -e/0 (1), a/0 (1), b/0 (1) and 3 more predicates")
 
 
 # --------------------------------------------------------------------------
@@ -311,10 +314,11 @@ edge(1,2). edge(2,3). edge(3,4). edge(4,1). col(r). col(g).
 
 
 def test_limit_counts_only_undecided_atoms():
+    # for the brute-force kernels the limit bounds every undecided atom
     program = ground(CYCLE_4_TWO_COLOURS)
-    assert len(answer_sets(program, brute_force_limit=16)) == 2
+    assert len(answer_sets(program, brute_force_limit=16, kernel="python")) == 2
     with pytest.raises(CapacityExceeded) as caught:
-        answer_sets(program, brute_force_limit=15)
+        answer_sets(program, brute_force_limit=15, kernel="python")
     assert str(caught.value).startswith(
         "candidate base has 26 atoms, 16 of them undecided, above the "
         "brute-force limit 15; "
@@ -477,6 +481,28 @@ def test_optimal_matches_oracle_on_random_programs():
         assert got == expected
         if all_sets:
             assert got
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_optimal_is_the_least_cost_key_in_answer_set_order():
+    rng = random.Random(53)
+    for _ in range(150):
+        program = random_ground_program(rng, with_weaks=True)
+        expected = oracle_optimal(program.weak_constraints, oracle_answer_sets(program.rules))
+        got = optimal_answer_sets(program)
+        assert {frozenset(i) for i in got} == expected
+        every = answer_sets(program)
+        assert list(got) == [i for i in every if i in got]
+
+
+def test_non_integer_level_takes_no_part_in_domination():
+    program = ground("a | b. :~ a. [1@x] :~ b. [2@0]")
+    with pytest.warns(UserWarning, match="non-integer level"):
+        got = optimal_answer_sets(program)
+    assert set(got) == sets_of({atom("a")})
+    program = ground("a | b. :~ a. [5@x]")
+    with pytest.warns(UserWarning, match="non-integer level"):
+        assert optimal_answer_sets(program) == answer_sets(program)
 
 
 # --------------------------------------------------------------------------
