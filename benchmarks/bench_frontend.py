@@ -1,0 +1,82 @@
+"""Time the front-end layers one at a time on one generated program text.
+
+Usage: python3 benchmarks/bench_frontend.py [--kbytes K] [--seed N] [--repeats R]
+
+Builds about K kilobytes of ASP-Core-2 text from `tests/generators.py`
+blocks interleaved with the query-free programs of the grammar corpus, then
+times `tokenize`, the parser on the ready token list, `desugar` and
+`check_program`, each on the previous layer's output (best of R). Before
+timing, it checks that `tokenize` gives the lexemes of `oracle_scan`, the
+lexical table run literally, with trivia removed, and exits 1 if it does not.
+"""
+
+import argparse
+import random
+import sys
+import time
+from itertools import cycle
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from aspcore2.analysis import check_program
+from aspcore2.lexer import TRIVIA, tokenize
+from aspcore2.parser import _Parser
+from aspcore2.rewrite import desugar
+from generators import random_nonground_program_text
+from grammar_corpus import ACCEPT
+from oracles import oracle_scan
+
+
+def program_text(rng, target_bytes):
+    # A program holds at most one query, and it must come last.
+    accepted = cycle(source for source, _note in ACCEPT if "?" not in source)
+    parts = []
+    size = 0
+    while size < target_bytes:
+        piece = random_nonground_program_text(rng) + "\n" + next(accepted) + "\n"
+        parts.append(piece)
+        size += len(piece)
+    return "".join(parts)
+
+
+def best_of(repeats, fn, arg):
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn(arg)
+        samples.append(time.perf_counter() - start)
+    return min(samples), result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--kbytes", type=int, default=180, help="size of the text")
+    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=3, help="timings per layer")
+    args = parser.parse_args(argv)
+
+    text = program_text(random.Random(args.seed), args.kbytes * 1000)
+    lexemes = oracle_scan(text)
+    significant = [t for t in lexemes if t.kind not in TRIVIA]
+    agree = tokenize(text) == significant
+    print(f"text: {len(text)} bytes, {len(lexemes) - 1} lexemes, "
+          f"{len(significant) - 1} significant; tokenize agrees with oracle_scan: {agree}")
+    if not agree:
+        return 1
+
+    layers = (
+        ("tokenize", tokenize),
+        ("parse", lambda tokens: _Parser(tokens).parse_program()),
+        ("desugar", desugar),
+        ("check", check_program),
+    )
+    value = text
+    for name, fn in layers:
+        seconds, value = best_of(args.repeats, fn, value)
+        print(f"{name:<10}{seconds:>10.4f}s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

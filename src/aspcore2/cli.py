@@ -34,6 +34,7 @@ from .solver import (
 )
 from .syntax import (
     Program,
+    Span,
     classical_atom_to_text,
     is_aux_name,
     render_aux_name,
@@ -78,6 +79,9 @@ def _node_data(node):
     """JSON-ready structural view of an AST node."""
     if isinstance(node, enum.Enum):
         return node.value
+    if isinstance(node, Span):
+        # A tuple, but dumped field by field like the dataclass nodes.
+        return {"type": "Span", **node._asdict()}
     if dataclasses.is_dataclass(node):
         data = {"type": type(node).__name__}
         for field in dataclasses.fields(node):

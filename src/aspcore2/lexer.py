@@ -1,17 +1,34 @@
 """Tokenizer for ASP-Core-2 source text.
 
-Implements the language's lexical table exactly: longest match wins, and on
-equal length a fixed lexeme (keyword or punctuation) beats an identifier
-class, so `not` is NAF while `nota` is an ID. Comments and blanks are scanned
-as trivia; `tokenize` drops them, `scan` keeps them so that the concatenation
-of all lexemes reproduces the input byte for byte.
+The language's lexical table is a list of regular expressions resolved by
+longest match, where on equal length a fixed lexeme (keyword or punctuation)
+beats an identifier class. Here the whole table is one compiled master regex
+with a named group per token kind, matched once per lexeme at the current
+position; the name of the group that matched (`m.lastgroup`) is the kind.
+
+The master regex realises the table's resolution rules as follows. The
+alternation takes the first alternative that matches, not the longest, so
+it resolves longest match only because no two alternatives can match at one
+position, with three kinds of exception:
+- `not` is both a fixed lexeme and an identifier. It is lexed by the ID
+  pattern and re-kinded to NAF when the whole lexeme is `not`, so `nota`
+  stays an ID: keyword over identifier on equal length, identifier on a
+  longer match.
+- Fixed lexemes that share a prefix (`:` `:-` `:~`, `<` `<=` `<>`, `>`
+  `>=`) are listed longest first, so the longer one is tried first.
+- The two comment forms share `%`, but a line comment cannot begin with
+  `%*`, so at most one of them matches.
+
+Comments and blanks are trivia. `scan` keeps them, so that the concatenation
+of all lexemes reproduces the input byte for byte; `tokenize` drops them
+without building a token for them.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LexError
 from .syntax import Span
@@ -62,65 +79,79 @@ class TokenKind(enum.Enum):
 TRIVIA = frozenset({TokenKind.COMMENT, TokenKind.MULTI_LINE_COMMENT, TokenKind.BLANK})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme: its kind, its exact source text and where it starts.
+
+    An immutable tuple, equal and hashed by value.
+    """
+
     kind: TokenKind
     text: str
     span: Span
 
 
-# Character-class rules, matched with Python regexes at the current position.
-_CLASS_RULES: tuple[tuple[TokenKind, re.Pattern[str]], ...] = (
-    (TokenKind.ID, re.compile(r"[a-z][A-Za-z0-9_]*")),
-    (TokenKind.VARIABLE, re.compile(r"[A-Z][A-Za-z0-9_]*")),
-    (TokenKind.STRING, re.compile(r'"(?:[^\\"]|\\")*"')),
-    (TokenKind.NUMBER, re.compile(r"0|[1-9][0-9]*")),
+# Character classes of the lexical table, and the fixed lexemes, grouped by
+# kind. Blanks and identifiers come first because they are the most common
+# lexemes; the order matters only among the fixed lexemes.
+_CLASS_PATTERNS = (
+    (TokenKind.BLANK, r"[ \t\n]+"),
+    (TokenKind.ID, r"[a-z][A-Za-z0-9_]*"),
+    (TokenKind.VARIABLE, r"[A-Z][A-Za-z0-9_]*"),
+    (TokenKind.NUMBER, r"0|[1-9][0-9]*"),
+    (TokenKind.STRING, r'"(?:[^\\"]|\\")*"'),
     # A line comment runs to the newline; one at end of input is accepted too.
-    (TokenKind.COMMENT, re.compile(r"%(?:[^*\n][^\n]*)?(?:\n|\Z)")),
-    (TokenKind.MULTI_LINE_COMMENT, re.compile(r"%\*(?:[^*]|\*[^%])*\*%")),
-    (TokenKind.BLANK, re.compile(r"[ \t\n]+")),
+    (TokenKind.COMMENT, r"%(?:[^*\n][^\n]*)?(?:\n|\Z)"),
+    (TokenKind.MULTI_LINE_COMMENT, r"%\*(?:[^*]|\*[^%])*\*%"),
 )
 
-# Fixed lexemes, longest first so a prefix never shadows a longer match.
-_FIXED_RULES: tuple[tuple[TokenKind, str], ...] = tuple(
-    sorted(
-        [
-            (TokenKind.ANONYMOUS_VARIABLE, "_"),
-            (TokenKind.DOT, "."),
-            (TokenKind.COMMA, ","),
-            (TokenKind.QUERY_MARK, "?"),
-            (TokenKind.COLON, ":"),
-            (TokenKind.SEMICOLON, ";"),
-            (TokenKind.OR, "|"),
-            (TokenKind.NAF, "not"),
-            (TokenKind.CONS, ":-"),
-            (TokenKind.WCONS, ":~"),
-            (TokenKind.PLUS, "+"),
-            (TokenKind.MINUS, "-"),
-            (TokenKind.TIMES, "*"),
-            (TokenKind.DIV, "/"),
-            (TokenKind.AT, "@"),
-            (TokenKind.PAREN_OPEN, "("),
-            (TokenKind.PAREN_CLOSE, ")"),
-            (TokenKind.SQUARE_OPEN, "["),
-            (TokenKind.SQUARE_CLOSE, "]"),
-            (TokenKind.CURLY_OPEN, "{"),
-            (TokenKind.CURLY_CLOSE, "}"),
-            (TokenKind.EQUAL, "="),
-            (TokenKind.UNEQUAL, "<>"),
-            (TokenKind.UNEQUAL, "!="),
-            (TokenKind.LESS, "<"),
-            (TokenKind.GREATER, ">"),
-            (TokenKind.LESS_OR_EQ, "<="),
-            (TokenKind.GREATER_OR_EQ, ">="),
-            (TokenKind.AGGREGATE_COUNT, "#count"),
-            (TokenKind.AGGREGATE_MAX, "#max"),
-            (TokenKind.AGGREGATE_MIN, "#min"),
-            (TokenKind.AGGREGATE_SUM, "#sum"),
-        ],
-        key=lambda rule: -len(rule[1]),
+# `not` is missing on purpose: it is lexed as an ID and re-kinded.
+_FIXED_LEXEMES = (
+    (TokenKind.AGGREGATE_COUNT, ("#count",)),
+    (TokenKind.AGGREGATE_MAX, ("#max",)),
+    (TokenKind.AGGREGATE_MIN, ("#min",)),
+    (TokenKind.AGGREGATE_SUM, ("#sum",)),
+    (TokenKind.CONS, (":-",)),
+    (TokenKind.WCONS, (":~",)),
+    (TokenKind.UNEQUAL, ("<>", "!=")),
+    (TokenKind.LESS_OR_EQ, ("<=",)),
+    (TokenKind.GREATER_OR_EQ, (">=",)),
+    (TokenKind.PAREN_OPEN, ("(",)),
+    (TokenKind.PAREN_CLOSE, (")",)),
+    (TokenKind.COMMA, (",",)),
+    (TokenKind.DOT, (".",)),
+    (TokenKind.ANONYMOUS_VARIABLE, ("_",)),
+    (TokenKind.QUERY_MARK, ("?",)),
+    (TokenKind.COLON, (":",)),
+    (TokenKind.SEMICOLON, (";",)),
+    (TokenKind.OR, ("|",)),
+    (TokenKind.PLUS, ("+",)),
+    (TokenKind.MINUS, ("-",)),
+    (TokenKind.TIMES, ("*",)),
+    (TokenKind.DIV, ("/",)),
+    (TokenKind.AT, ("@",)),
+    (TokenKind.SQUARE_OPEN, ("[",)),
+    (TokenKind.SQUARE_CLOSE, ("]",)),
+    (TokenKind.CURLY_OPEN, ("{",)),
+    (TokenKind.CURLY_CLOSE, ("}",)),
+    (TokenKind.EQUAL, ("=",)),
+    (TokenKind.LESS, ("<",)),
+    (TokenKind.GREATER, (">",)),
+)
+
+_MASTER = re.compile(
+    "|".join(
+        [f"(?P<{kind.name}>{pattern})" for kind, pattern in _CLASS_PATTERNS]
+        + [
+            f"(?P<{kind.name}>{'|'.join(map(re.escape, lexemes))})"
+            for kind, lexemes in _FIXED_LEXEMES
+        ]
     )
 )
+
+_KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
+
+# Kinds whose lexeme may span lines.
+_MULTI_LINE = TRIVIA | {TokenKind.STRING}
 
 
 def _diagnose(text: str, pos: int) -> str:
@@ -132,41 +163,49 @@ def _diagnose(text: str, pos: int) -> str:
     return f"unexpected character {ch!r}"
 
 
-def scan(text: str) -> list[Token]:
-    """All lexemes including comment/blank trivia, in source order."""
+def _lex(text: str, keep_trivia: bool) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    # `_make` builds the tuple directly, at about half the cost of a call
+    # to the class, whose `__new__` is written in Python.
+    make_token = Token._make
+    make_span = Span._make
+    kind_of_group = _KIND_OF_GROUP
+    trivia = TRIVIA
+    multi_line = _MULTI_LINE
+    ident = TokenKind.ID
     pos = 0
     line = 1
-    column = 1
+    line_start = 0  # offset of the first character of the current line
     n = len(text)
     while pos < n:
-        best_kind: TokenKind | None = None
-        best_len = 0
-        for kind, pattern in _CLASS_RULES:
-            m = pattern.match(text, pos)
-            if m is not None and m.end() - pos > best_len:
-                best_kind = kind
-                best_len = m.end() - pos
-        for kind, lexeme in _FIXED_RULES:
-            if len(lexeme) >= best_len and text.startswith(lexeme, pos):
-                best_kind = kind
-                best_len = len(lexeme)
-                break
-        if best_kind is None:
-            raise LexError(_diagnose(text, pos), Span(pos, 1, line, column))
-        lexeme = text[pos : pos + best_len]
-        tokens.append(Token(best_kind, lexeme, Span(pos, best_len, line, column)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            column = best_len - lexeme.rfind("\n")
-        else:
-            column += best_len
-        pos += best_len
-    tokens.append(Token(TokenKind.EOF, "", Span(pos, 0, line, column)))
+        m = match(text, pos)
+        if m is None:
+            raise LexError(_diagnose(text, pos), Span(pos, 1, line, pos - line_start + 1))
+        kind = kind_of_group[m.lastgroup]
+        end = m.end()
+        if keep_trivia or kind not in trivia:
+            lexeme = m.group()
+            if kind is ident and lexeme == "not":
+                kind = TokenKind.NAF
+            span = make_span((pos, end - pos, line, pos - line_start + 1))
+            append(make_token((kind, lexeme, span)))
+        if kind in multi_line:
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
+        pos = end
+    append(Token(TokenKind.EOF, "", Span(pos, 0, line, pos - line_start + 1)))
     return tokens
+
+
+def scan(text: str) -> list[Token]:
+    """All lexemes including comment/blank trivia, in source order."""
+    return _lex(text, True)
 
 
 def tokenize(text: str) -> list[Token]:
     """Significant tokens only (trivia removed), ending with an EOF marker."""
-    return [t for t in scan(text) if t.kind not in TRIVIA]
+    return _lex(text, False)

@@ -8,14 +8,16 @@ span that is excluded from structural equality.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class Span:
-    """Source location: byte offset, length, and 1-based line/column."""
+class Span(NamedTuple):
+    """Source location: byte offset, length, and 1-based line/column.
+
+    An immutable tuple, equal and hashed by value; a statement's span takes
+    no part in the statement's equality.
+    """
 
     offset: int
     length: int
@@ -629,105 +631,3 @@ def statement_to_text(statement: Statement) -> str:
 def program_to_text(program: Program) -> str:
     lines = [statement_to_text(s) for s in program.statements()]
     return "".join(line + "\n" for line in lines)
-
-
-# --------------------------------------------------------------------------
-# Structural dump (CLI --ast)
-
-
-def _node_to_data(node: object) -> object:
-    if isinstance(node, IntegerConstant):
-        return {"type": "integer", "value": node.value}
-    if isinstance(node, SymbolicConstant):
-        return {"type": "symbolic_constant", "name": _render_name(node.name)}
-    if isinstance(node, StringConstant):
-        return {"type": "string", "value": node.value}
-    if isinstance(node, Variable):
-        return {"type": "variable", "name": node.name}
-    if isinstance(node, AnonymousVariable):
-        return {"type": "anonymous_variable"}
-    if isinstance(node, ArithmeticTerm):
-        name = "neg" if node.op is ArithOp.NEG else node.op.name.lower()
-        return {"type": name, "args": [_node_to_data(a) for a in node.args]}
-    if isinstance(node, FunctionalTerm):
-        return {
-            "type": "function",
-            "functor": _render_name(node.functor),
-            "args": [_node_to_data(a) for a in node.args],
-        }
-    if isinstance(node, ClassicalAtom):
-        return {
-            "type": "classical_atom",
-            "predicate": _render_name(node.predicate),
-            "strong_negation": node.strong_negation,
-            "args": [_node_to_data(a) for a in node.args],
-        }
-    if isinstance(node, BuiltinAtom):
-        return {
-            "type": "builtin_atom",
-            "relation": node.relation.value,
-            "left": _node_to_data(node.left),
-            "right": _node_to_data(node.right),
-        }
-    if isinstance(node, NafLiteral):
-        return {"type": "literal", "naf": node.naf, "atom": _node_to_data(node.atom)}
-    if isinstance(node, AggregateLiteral):
-        return {"type": "literal", "naf": node.naf, "atom": _node_to_data(node.atom)}
-    if isinstance(node, AggregateElement):
-        return {
-            "type": "aggregate_element",
-            "terms": [_node_to_data(t) for t in node.terms],
-            "condition": [_node_to_data(l) for l in node.condition],
-        }
-    if isinstance(node, AggregateAtom):
-        return {
-            "type": "aggregate_atom",
-            "function": node.function.value,
-            "elements": [_node_to_data(e) for e in node.elements],
-            "left_guard": _node_to_data(node.left_guard) if node.left_guard else None,
-            "right_guard": _node_to_data(node.right_guard) if node.right_guard else None,
-        }
-    if isinstance(node, Guard):
-        return {"relation": node.relation.value, "term": _node_to_data(node.term)}
-    if isinstance(node, ChoiceElement):
-        return {
-            "type": "choice_element",
-            "atom": _node_to_data(node.atom),
-            "condition": [_node_to_data(l) for l in node.condition],
-        }
-    if isinstance(node, ChoiceAtom):
-        return {
-            "type": "choice_atom",
-            "elements": [_node_to_data(e) for e in node.elements],
-            "left_guard": _node_to_data(node.left_guard) if node.left_guard else None,
-            "right_guard": _node_to_data(node.right_guard) if node.right_guard else None,
-        }
-    if isinstance(node, Rule):
-        head: object
-        if isinstance(node.head, ChoiceAtom):
-            head = _node_to_data(node.head)
-        else:
-            head = [_node_to_data(a) for a in node.head]
-        return {"type": "rule", "head": head, "body": [_node_to_data(l) for l in node.body]}
-    if isinstance(node, WeakConstraint):
-        return {
-            "type": "weak_constraint",
-            "body": [_node_to_data(l) for l in node.body],
-            "weight": _node_to_data(node.weight),
-            "level": _node_to_data(node.level),
-            "terms": [_node_to_data(t) for t in node.terms],
-        }
-    if isinstance(node, Query):
-        return {"type": "query", "atom": _node_to_data(node.atom)}
-    if isinstance(node, Program):
-        return {
-            "type": "program",
-            "rules": [_node_to_data(r) for r in node.rules],
-            "weak_constraints": [_node_to_data(w) for w in node.weak_constraints],
-            "query": _node_to_data(node.query) if node.query else None,
-        }
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def program_to_json(program: Program, indent: int = 2) -> str:
-    return json.dumps(_node_to_data(program), indent=indent)

@@ -4,14 +4,19 @@ Everything here is coded directly from the semantic definitions and shares
 only the syntax tree dataclasses with the package under test: term
 comparison, literal satisfaction, reducts, exhaustive-subset answer sets,
 the classical Gelfond-Lifschitz construction, weak-constraint domination,
-and cautious query intersection are all reimplemented from scratch.
+and cautious query intersection are all reimplemented from scratch. The
+lexer's oracle runs the lexical table literally and shares only the token
+and span types.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Optional, Union
 
+from aspcore2.errors import LexError
+from aspcore2.lexer import Token, TokenKind
 from aspcore2.syntax import (
     AggregateAtom,
     AggregateElement,
@@ -27,6 +32,7 @@ from aspcore2.syntax import (
     NafLiteral,
     Relation,
     Rule,
+    Span,
     StringConstant,
     SymbolicConstant,
     Term,
@@ -386,3 +392,103 @@ def oracle_query_substitutions(
                 found.add(tuple(sorted(binding.items())))
         common = found if common is None else common & found
     return common or set()
+
+
+# --------------------------------------------------------------------------
+# The lexical table run literally: at each position try every character
+# class and every fixed lexeme, keep the longest match, and on equal length
+# let a fixed lexeme (keyword or punctuation) beat a class.
+
+_CLASS_RULES: tuple[tuple[TokenKind, re.Pattern[str]], ...] = (
+    (TokenKind.ID, re.compile(r"[a-z][A-Za-z0-9_]*")),
+    (TokenKind.VARIABLE, re.compile(r"[A-Z][A-Za-z0-9_]*")),
+    (TokenKind.STRING, re.compile(r'"(?:[^\\"]|\\")*"')),
+    (TokenKind.NUMBER, re.compile(r"0|[1-9][0-9]*")),
+    (TokenKind.COMMENT, re.compile(r"%(?:[^*\n][^\n]*)?(?:\n|\Z)")),
+    (TokenKind.MULTI_LINE_COMMENT, re.compile(r"%\*(?:[^*]|\*[^%])*\*%")),
+    (TokenKind.BLANK, re.compile(r"[ \t\n]+")),
+)
+
+# Longest first so a prefix never shadows a longer match.
+_FIXED_RULES: tuple[tuple[TokenKind, str], ...] = tuple(
+    sorted(
+        [
+            (TokenKind.ANONYMOUS_VARIABLE, "_"),
+            (TokenKind.DOT, "."),
+            (TokenKind.COMMA, ","),
+            (TokenKind.QUERY_MARK, "?"),
+            (TokenKind.COLON, ":"),
+            (TokenKind.SEMICOLON, ";"),
+            (TokenKind.OR, "|"),
+            (TokenKind.NAF, "not"),
+            (TokenKind.CONS, ":-"),
+            (TokenKind.WCONS, ":~"),
+            (TokenKind.PLUS, "+"),
+            (TokenKind.MINUS, "-"),
+            (TokenKind.TIMES, "*"),
+            (TokenKind.DIV, "/"),
+            (TokenKind.AT, "@"),
+            (TokenKind.PAREN_OPEN, "("),
+            (TokenKind.PAREN_CLOSE, ")"),
+            (TokenKind.SQUARE_OPEN, "["),
+            (TokenKind.SQUARE_CLOSE, "]"),
+            (TokenKind.CURLY_OPEN, "{"),
+            (TokenKind.CURLY_CLOSE, "}"),
+            (TokenKind.EQUAL, "="),
+            (TokenKind.UNEQUAL, "<>"),
+            (TokenKind.UNEQUAL, "!="),
+            (TokenKind.LESS, "<"),
+            (TokenKind.GREATER, ">"),
+            (TokenKind.LESS_OR_EQ, "<="),
+            (TokenKind.GREATER_OR_EQ, ">="),
+            (TokenKind.AGGREGATE_COUNT, "#count"),
+            (TokenKind.AGGREGATE_MAX, "#max"),
+            (TokenKind.AGGREGATE_MIN, "#min"),
+            (TokenKind.AGGREGATE_SUM, "#sum"),
+        ],
+        key=lambda rule: -len(rule[1]),
+    )
+)
+
+
+def _oracle_diagnosis(text: str, pos: int) -> str:
+    if text[pos] == '"':
+        return "unterminated or malformed string literal"
+    if text[pos : pos + 2] == "%*":
+        return "unterminated multi-line comment"
+    return f"unexpected character {text[pos]!r}"
+
+
+def oracle_scan(text: str) -> list[Token]:
+    """Every lexeme, trivia included, then an EOF marker; LexError at the
+    first position where neither a class nor a fixed lexeme matches."""
+    tokens: list[Token] = []
+    pos = 0
+    line = 1
+    column = 1
+    while pos < len(text):
+        best_kind: Optional[TokenKind] = None
+        best_len = 0
+        for kind, pattern in _CLASS_RULES:
+            m = pattern.match(text, pos)
+            if m is not None and m.end() - pos > best_len:
+                best_kind = kind
+                best_len = m.end() - pos
+        for kind, lexeme in _FIXED_RULES:
+            if len(lexeme) >= best_len and text.startswith(lexeme, pos):
+                best_kind = kind
+                best_len = len(lexeme)
+                break
+        if best_kind is None:
+            raise LexError(_oracle_diagnosis(text, pos), Span(pos, 1, line, column))
+        lexeme = text[pos : pos + best_len]
+        tokens.append(Token(best_kind, lexeme, Span(pos, best_len, line, column)))
+        for ch in lexeme:
+            if ch == "\n":
+                line += 1
+                column = 1
+            else:
+                column += 1
+        pos += best_len
+    tokens.append(Token(TokenKind.EOF, "", Span(pos, 0, line, column)))
+    return tokens

@@ -96,6 +96,21 @@ def test_dump_tokens_format(capsys, tmp_path):
     ]
 
 
+def test_dump_tokens_positions_after_comments_and_lines(capsys, tmp_path):
+    path = source(tmp_path, "a. % one\n%* two\nthree *% b :-\n\tnot c.")
+    code, out, _err = run(capsys, "parse", "--dump-tokens", path)
+    assert code == 0
+    assert out.splitlines() == [
+        'ID "a" 1:1',
+        'DOT "." 1:2',
+        'ID "b" 3:10',
+        'CONS ":-" 3:12',
+        'NAF "not" 4:2',
+        'ID "c" 4:6',
+        'DOT "." 4:7',
+    ]
+
+
 def test_dump_tokens_only_lexes(capsys, tmp_path):
     # token dump must work on token streams that do not parse
     path = source(tmp_path, "a :- :-")
@@ -111,6 +126,36 @@ def test_ast_dump_is_json(capsys, tmp_path):
     tree = json.loads(out)
     assert tree["type"] == "Program"
     assert tree["rules"][0]["body"][0]["naf"] is True
+
+
+def test_ast_dump_golden(capsys, tmp_path):
+    path = source(tmp_path, "p(1).\n  q :- not p(1). % done\n")
+    code, out, _err = run(capsys, "parse", "--ast", path)
+    assert code == 0
+
+    def atom(predicate, *values):
+        args = [{"type": "IntegerConstant", "value": v} for v in values]
+        return {"type": "ClassicalAtom", "predicate": predicate, "args": args, "strong_negation": False}
+
+    def span(offset, length, line, column):
+        return {"type": "Span", "offset": offset, "length": length, "line": line, "column": column}
+
+    expected = {
+        "type": "Program",
+        "rules": [
+            {"type": "Rule", "head": [atom("p", 1)], "body": [], "span": span(0, 5, 1, 1)},
+            {
+                "type": "Rule",
+                "head": [atom("q")],
+                "body": [{"type": "NafLiteral", "atom": atom("p", 1), "naf": True}],
+                "span": span(8, 14, 2, 3),
+            },
+        ],
+        "weak_constraints": [],
+        "query": None,
+    }
+    # Compared as text, so key order and layout are pinned too.
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------

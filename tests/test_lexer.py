@@ -1,10 +1,17 @@
 """Lexer: one golden check per lexical table row, longest-match rules,
-trivia handling, and error positions."""
+trivia handling, error positions, the value semantics of tokens and spans,
+and a differential test against the lexical table run literally."""
+
+import random
 
 import pytest
 
 from aspcore2.errors import LexError
-from aspcore2.lexer import TokenKind, scan, tokenize
+from aspcore2.lexer import TRIVIA, Token, TokenKind, scan, tokenize
+from aspcore2.syntax import Span
+from generators import random_nonground_program_text
+from grammar_corpus import ACCEPT, REJECT
+from oracles import oracle_scan
 
 
 def kinds(text):
@@ -145,3 +152,75 @@ def test_unterminated_multiline_comment_raises():
 def test_string_keeps_escaped_quote():
     tokens = tokenize('"a\\"b"')
     assert tokens[0].text == '"a\\"b"'
+
+
+# --------------------------------------------------------------------------
+# Tokens and spans are values
+
+
+def test_token_and_span_are_equal_and_hash_by_value():
+    a = Token(TokenKind.ID, "p", Span(3, 1, 2, 1))
+    b = Token(TokenKind.ID, "p", Span(3, 1, 2, 1))
+    assert a == b and hash(a) == hash(b)
+    assert a.span == b.span and hash(a.span) == hash(b.span)
+    assert a != Token(TokenKind.ID, "p", Span(3, 1, 2, 2))
+    assert Span(3, 1, 2, 1).describe() == "2:1"
+
+
+@pytest.mark.parametrize("value,field", [
+    (Span(0, 1, 1, 1), "line"),
+    (Token(TokenKind.DOT, ".", Span(0, 1, 1, 1)), "text"),
+])
+def test_token_and_span_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+
+
+# --------------------------------------------------------------------------
+# Differential test against tests/oracles.py: same lexemes, same errors
+
+# Pieces of the random strings: every fixed lexeme, the prefixes and
+# near-misses of the longest-match rules, the comment and string delimiters,
+# whole strings and comments (some across lines), blanks, and one illegal
+# character.
+_PIECES = [
+    "%", "%*", "*%", "%* c *%", "%*\n*%", '"', '"s"', '"a\\"b"', '"\n"', "\\",
+    "not", "nota", "not_", "<>", "<=", "<", ">=", ">", "!=", "!", "0", "007",
+    "12", "\t", "\n", " ", "  ", "$", "p", "aB_9", "X", "Var", "_", "_x", ".",
+    ",", "?", ":", ":-", ":~", ";", "|", "+", "-", "*", "/", "@", "(", ")", "[",
+    "]", "{", "}", "=", "#count", "#max", "#min", "#sum", "#", "#co",
+]
+
+
+def _random_strings(count, seed=5):
+    rng = random.Random(seed)
+    return ["".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12))) for _ in range(count)]
+
+
+def _outcome(lex, text):
+    try:
+        return "ok", lex(text)
+    except LexError as error:
+        return "error", (error.message, error.span)
+
+
+def _differential_sources():
+    rng = random.Random(17)
+    check_10 = [random_nonground_program_text(rng) for _ in range(100)]
+    return [s for s, _ in ACCEPT] + [s for s, _ in REJECT] + check_10 + _random_strings(5000)
+
+
+def test_scan_agrees_with_the_lexical_table():
+    accepted = rejected = 0
+    for text in _differential_sources():
+        outcome, result = _outcome(scan, text)
+        assert (outcome, result) == _outcome(oracle_scan, text), repr(text)
+        if outcome == "error":
+            rejected += 1
+            assert _outcome(tokenize, text) == (outcome, result)
+            continue
+        accepted += 1
+        assert "".join(t.text for t in result) == text
+        assert tokenize(text) == [t for t in result if t.kind not in TRIVIA]
+    # the random strings reach both outcomes often
+    assert accepted > 1500 and rejected > 1500, (accepted, rejected)
