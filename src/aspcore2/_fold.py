@@ -1,8 +1,8 @@
 """Fixing the atoms the facts decide, and folding them out of the packed
-arrays before the search or a brute-force kernel runs; the propagation
-the search repeats at every node.
+arrays before the search runs; the propagation the search repeats at every
+node; and the truth of bodies and aggregates over the flat arrays.
 
-One fixpoint over the flat arrays the kernels read fixes atoms in two ways:
+One fixpoint over the flat arrays fixes atoms in two ways:
 
 - true: a rule whose body is certainly true has one head atom that is not
   fixed false;
@@ -28,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._kernel_py import _aggregate_true, _relation_truth
-from ._packed import KIND_COUNT, KIND_MAX, KIND_MIN
+from ._packed import KIND_COUNT, KIND_MAX, KIND_MIN, KIND_SUM
+from .ground import relation_holds
+from .syntax import INVERTED_RELATION, Relation
 
 
 @dataclass(frozen=True)
 class Folded:
-    """The kernels' flat arrays over the open atoms of a packed program.
+    """The flat arrays over the open atoms of a packed program.
 
     `fixed_true` is a mask over the packed program's bits; bit j of a
     folded mask stands for packed bit `open_bits[j]`.
@@ -64,28 +65,109 @@ def _bits(mask: int):
         mask ^= low
 
 
-# the relation code r' with `g r v` exactly when `v r' g`, so a left guard
-# reads like a right one
-_FLIPPED = (1, 0, 3, 2, 4, 5)
+def _tuple_satisfied(mask: int, conds, start: int, count: int) -> bool:
+    for c in range(start, start + count):
+        pos, neg = conds[c]
+        if (mask & pos) == pos and (mask & neg) == 0:
+            return True
+    return False
 
 
-def _range_truth(low: int, high: int, rel: int, guard: int) -> Optional[bool]:
+def _aggregate_true(mask: int, meta, tuples, conds) -> bool:
+    (
+        naf,
+        kind,
+        has_left,
+        left_rel,
+        left_is_int,
+        left_val,
+        has_right,
+        right_rel,
+        right_is_int,
+        right_val,
+        start,
+        count,
+    ) = meta
+    if kind in (KIND_COUNT, KIND_SUM):
+        value = 0
+        for t in range(start, start + count):
+            weight, _, _, _, cstart, ccount = tuples[t]
+            if _tuple_satisfied(mask, conds, cstart, ccount):
+                value += 1 if kind == KIND_COUNT else weight
+        truth = True
+        if has_left:
+            cmp = (value > left_val) - (value < left_val) if left_is_int else -1
+            truth = relation_holds(-cmp, left_rel)
+        if truth and has_right:
+            cmp = (value > right_val) - (value < right_val) if right_is_int else -1
+            truth = relation_holds(cmp, right_rel)
+    else:
+        # empty set: #max is -infinity (compares below all), #min +infinity
+        best_left = best_right = -1 if kind == KIND_MAX else 1
+        for t in range(start, start + count):
+            _, participates, cmp_left, cmp_right, cstart, ccount = tuples[t]
+            if participates and _tuple_satisfied(mask, conds, cstart, ccount):
+                if kind == KIND_MAX:
+                    if cmp_left > best_left:
+                        best_left = cmp_left
+                    if cmp_right > best_right:
+                        best_right = cmp_right
+                else:
+                    if cmp_left < best_left:
+                        best_left = cmp_left
+                    if cmp_right < best_right:
+                        best_right = cmp_right
+        truth = True
+        if has_left:
+            truth = relation_holds(-best_left, left_rel)
+        if truth and has_right:
+            truth = relation_holds(best_right, right_rel)
+    return truth != bool(naf)
+
+
+def _body_true(mask: int, rule, agg_index, aggs, tuples, conds) -> bool:
+    head, pos, neg, astart, acount = rule
+    if (mask & pos) != pos or (mask & neg) != 0:
+        return False
+    for a in range(astart, astart + acount):
+        if not _aggregate_true(mask, aggs[agg_index[a]], tuples, conds):
+            return False
+    return True
+
+
+def _minimal(mask: int, kept, agg_index, aggs, tuples, conds) -> bool:
+    """Whether no proper submask of the model `mask` satisfies the rules
+    `kept`, its reduct: a sweep over all 2^|mask| submasks."""
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        if not any(
+            _body_true(sub, rule, agg_index, aggs, tuples, conds) and not sub & rule[0]
+            for rule in kept
+        ):
+            return False
+    return True
+
+
+def _range_truth(low: int, high: int, rel: Relation, guard: int) -> Optional[bool]:
     """The truth of `v rel guard` for every v in [low, high]; None when it
     varies."""
-    at_low = _relation_truth((low > guard) - (low < guard), rel)
+    at_low = relation_holds((low > guard) - (low < guard), rel)
     if low == high:
         return at_low
-    at_high = _relation_truth((high > guard) - (high < guard), rel)
-    # = and != (codes 4 and 5) also change inside the range
-    if at_low != at_high or (rel >= 4 and low <= guard <= high):
+    at_high = relation_holds((high > guard) - (high < guard), rel)
+    # = and != also change inside the range
+    if at_low != at_high or (
+        rel in (Relation.EQ, Relation.NE) and low <= guard <= high
+    ):
         return None
     return at_low
 
 
 class _Fixpoint:
-    """Propagation over the kernels' flat arrays, driven by occurrence
-    lists: fixing an atom revisits only the rules that mention it, and the
-    support of the head atoms of each rule that can no longer fire.
+    """Propagation over the flat arrays, driven by occurrence lists:
+    fixing an atom revisits only the rules that mention it, and the support
+    of the head atoms of each rule that can no longer fire.
 
     With `search` off (folding), a rule acts as described at the top of
     this module. With it on, a partial assignment of the search also
@@ -170,15 +252,15 @@ class _Fixpoint:
         if has_left:
             # a symbolic guard follows every integer
             truth = (
-                _range_truth(low, high, _FLIPPED[left_rel], left_val)
+                _range_truth(low, high, INVERTED_RELATION[left_rel], left_val)
                 if left_is_int
-                else _relation_truth(1, left_rel)
+                else relation_holds(1, left_rel)
             )
         if truth is not False and has_right:
             right = (
                 _range_truth(low, high, right_rel, right_val)
                 if right_is_int
-                else _relation_truth(-1, right_rel)
+                else relation_holds(-1, right_rel)
             )
             if truth or right is False:
                 truth = right

@@ -1,9 +1,8 @@
-"""Bitmask packing of ground programs for the enumeration kernels.
+"""Bitmask packing of ground programs for the search.
 
 Candidate atoms become bit positions; rule bodies become positive/negative
 masks plus packed aggregates whose tuples carry precomputed weights and
-guard comparisons. Both the compiled and the pure-Python kernel consume the
-same flat integer arrays, so they differ only in arithmetic width.
+guard comparisons. `_fold` and the search read the same flat arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .syntax import (
     ClassicalAtom,
     Guard,
     IntegerConstant,
-    Relation,
     Rule,
     Term,
 )
@@ -35,17 +33,6 @@ _KIND = {
     AggregateFunction.MAX: KIND_MAX,
     AggregateFunction.MIN: KIND_MIN,
 }
-
-# Relation codes as both kernels read them (see _kernel_py._relation_truth).
-_REL = {
-    Relation.LT: 0,
-    Relation.GT: 1,
-    Relation.LE: 2,
-    Relation.GE: 3,
-    Relation.EQ: 4,
-    Relation.NE: 5,
-}
-
 
 def atom_sort_key(atom: ClassicalAtom):
     return (
@@ -95,16 +82,16 @@ def derivable_atoms(program: GroundProgram) -> set[ClassicalAtom]:
 class PackedProgram:
     """A ground program packed over its candidate atoms.
 
-    `arrays` are the integer arrays the kernels read, in `flat()` order
-    after the size:
+    `arrays` are the arrays the search reads, in `flat()` order after the
+    size:
 
     - conflicts: the mask of each atom together with its strong negation.
     - rule_meta: (head, pos, neg, start, count) per rule, where start and
       count select the rule's entries of agg_index.
     - agg_index: ids into agg_meta.
-    - agg_meta: (naf, kind, then present, relation code, term is an
-      integer and its value for the left and then the right guard, start,
-      count) per aggregate, where start and count select tuple_meta rows.
+    - agg_meta: (naf, kind, then present, relation, term is an integer
+      and its value for the left and then the right guard, start, count)
+      per aggregate, where start and count select tuple_meta rows.
     - tuple_meta: (weight for #sum, 1 if the tuple has a first term for
       #max/#min, term_compare of that term with the left and with the right
       guard term, start, count) per distinct element tuple, where start and
@@ -118,19 +105,18 @@ class PackedProgram:
     arrays: tuple
 
     def flat(self) -> tuple:
-        """Primitive-integer view shared by the enumeration kernels:
-        (size, conflicts, rule_meta, agg_index, agg_meta, tuple_meta,
-        cond_flat)."""
+        """The flat view `_fold` and the search read: (size, conflicts,
+        rule_meta, agg_index, agg_meta, tuple_meta, cond_flat)."""
         return (self.size, *self.arrays)
 
 
-def _guard_meta(guard: Optional[Guard]) -> tuple[int, int, int, int]:
-    """(present, relation code, term is an integer, its value) of a guard."""
+def _guard_meta(guard: Optional[Guard]) -> tuple:
+    """(present, relation, term is an integer, its value) of a guard."""
     if guard is None:
-        return (0, 0, 0, 0)
+        return (0, None, 0, 0)
     if isinstance(guard.term, IntegerConstant):
-        return (1, _REL[guard.relation], 1, guard.term.value)
-    return (1, _REL[guard.relation], 0, 0)
+        return (1, guard.relation, 1, guard.term.value)
+    return (1, guard.relation, 0, 0)
 
 
 class _Packer:

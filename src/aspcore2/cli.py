@@ -261,8 +261,7 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="most atoms a minimality sweep may range over: the atoms of a "
         "model of a program with a head cycle or an aggregate in a rule with "
-        "a head (with ASPCORE2_KERNEL set, every atom the facts leave "
-        "undecided)",
+        "a head",
     )
 
 

@@ -1,87 +1,136 @@
-"""Kernel selection: the search (`_search`) by default, or one of the
-brute-force kernels, which test every mask of the atoms.
+"""Depth-first search for the answer sets of folded flat arrays.
 
-Asking for kernel "python" or "compiled", or setting the environment
-variable ASPCORE2_KERNEL, selects a brute-force kernel: "c" requires the
-compiled kernel (ImportError if missing), "py" forces the pure one. The
-compiled kernel only handles programs whose packed integers fit machine
-words; unsuitable programs silently use the pure kernel.
+A partial assignment is two masks, the atoms true and the atoms false.
+Each node propagates to a fixpoint with `_fold._Fixpoint` in its search
+mode, then branches on the lowest open atom. A total assignment that
+propagation leaves without a conflict is a model; it is an answer set when
+it is minimal for its reduct:
+
+- exactly, when the arrays are head-cycle-free and no rule with a head has
+  an aggregate: the model must be the least model of its shifted reduct,
+  `h :- B+` for each rule whose body it satisfies and whose head it meets in
+  `h` alone (Ben-Eliyahu & Dechter 1994);
+- otherwise by a sweep over its submasks, over at most `brute_force_limit`
+  atoms.
+
+References: Gebser, Kaufmann & Schaub, AIJ 2012; Simons, Niemela &
+Soininen, AIJ 2002.
 """
 
 from __future__ import annotations
 
-import os
+from ._fold import _bits, _body_true, _Fixpoint, _minimal, _single_bit
+from .analysis import DependencyGraph
+from .errors import CapacityExceeded
 
-from . import _kernel_py, _search
-
-_INT64_MAX = (1 << 62) - 1
-
-_compiled = None
-_forced = os.environ.get("ASPCORE2_KERNEL", "").strip().lower()
-# ACTIVE_KERNEL: the brute-force kernel the environment selects
-if _forced == "py":
-    ACTIVE_KERNEL = "python"
-else:
-    try:
-        from . import _kernel as _compiled_module
-
-        _compiled = _compiled_module
-        ACTIVE_KERNEL = "compiled"
-    except ImportError:
-        if _forced == "c":
-            raise ImportError(
-                "ASPCORE2_KERNEL=c but the compiled kernel is not built"
-            ) from None
-        ACTIVE_KERNEL = "python"
-# what runs when no kernel is asked for: None is the search
-_DEFAULT = ACTIVE_KERNEL if _forced in ("py", "c") else None
+# Read by perfbench/worker.py and perfbench/tracer.py, which name the kernel.
+ACTIVE_KERNEL = "search"
 
 
+# Read by perfbench/worker.py; the search is pure Python, so always False.
 def compiled_available() -> bool:
-    return _compiled is not None
+    return False
 
 
-def fits_compiled(flat) -> bool:
-    """Whether every packed integer fits the compiled kernel's word sizes."""
-    size, _conflicts, _rules, _agg_index, aggs, tuples, _conds = flat
-    if size > 62:
-        return False
-    for meta in aggs:
-        if abs(meta[5]) > _INT64_MAX or abs(meta[9]) > _INT64_MAX:
-            return False
-        total = 0
-        for t in range(meta[10], meta[10] + meta[11]):
-            weight = tuples[t][0]
-            if abs(weight) > _INT64_MAX:
-                return False
-            total += abs(weight)
-        if total > _INT64_MAX:
+# The search nodes (assignments propagated after a branch) one call may
+# spend before it ends in CapacityExceeded. A node costs 20-60 us on a
+# 2-vCPU Intel Xeon, so the budget runs out after 6-18 s; 10-queens takes
+# 79k nodes.
+NODE_BUDGET = 300_000
+
+
+class SearchExhausted(CapacityExceeded):
+    """The search ran out of a bound; `atoms` masks the folded atoms the
+    message is about."""
+
+    def __init__(self, message: str, atoms: int) -> None:
+        super().__init__(message)
+        self.atoms = atoms
+
+
+def head_cycle_free(rules) -> bool:
+    """No two atoms of one head share a strongly connected component of the
+    positive dependency graph (body atom -> head atom)."""
+    edges = frozenset(
+        (b, h) for head, pos, *_ in rules for b in _bits(pos) for h in _bits(head)
+    )
+    vertices = frozenset(v for edge in edges for v in edge)
+    component = {}
+    for number, members in enumerate(DependencyGraph(vertices, edges).components()):
+        for vertex in members:
+            component[vertex] = number
+    for head, *_ in rules:
+        numbers = [component[h] for h in _bits(head) if h in component]
+        if len(set(numbers)) < len(numbers):
             return False
     return True
 
 
-def served_by(flat, kernel: str | None = None) -> str:
-    """The kernel `solve_masks(flat, kernel)` runs: "search", "compiled" or
-    "python"."""
-    choice = kernel or _DEFAULT
-    if choice is None:
-        return "search"
-    if choice == "compiled" and _compiled is not None and fits_compiled(flat):
-        return "compiled"
-    return "python"
+def _least_model_is(model: int, rules) -> bool:
+    """Whether `model` is the least model of its shifted reduct."""
+    shifted = [
+        (head & model, pos)
+        for head, pos, neg, _, _ in rules
+        if _single_bit(head & model) and not (pos & ~model or neg & model)
+    ]
+    derived = 0
+    changed = True
+    while changed:
+        changed = False
+        for head, pos in shifted:
+            if head & ~derived and not pos & ~derived:
+                derived |= head
+                changed = True
+    return derived == model
 
 
-def solve_masks(
-    flat, kernel: str | None = None, *, brute_force_limit: int = 24
-) -> list[int]:
-    """Answer-set bitmasks, ascending, from the kernel `served_by` names.
+def solve_masks(flat, *, brute_force_limit: int = 24) -> list[int]:
+    """All answer-set bitmasks of the folded arrays, ascending.
 
-    `brute_force_limit` bounds the search's minimality sweeps; the
-    brute-force kernels ignore it.
+    Raises SearchExhausted after NODE_BUDGET nodes, or at a model whose
+    minimality needs a sweep over more than `brute_force_limit` atoms.
     """
-    served = served_by(flat, kernel)
-    if served == "search":
-        return _search.solve_masks(flat, brute_force_limit=brute_force_limit)
-    if served == "compiled":
-        return _compiled.solve_masks(flat)
-    return _kernel_py.solve_masks(flat)
+    size, _conflicts, rules, agg_index, aggs, tuples, conds = flat
+    engine = _Fixpoint(flat, search=True)
+    everything = (1 << size) - 1
+    exact = head_cycle_free(rules) and not any(
+        head and count for head, _, _, _, count in rules
+    )
+    root = engine.propagate(0, 0, (1 << len(engine.rules)) - 1, everything)
+    stack = [] if root is None else [root]
+    results: list[int] = []
+    nodes = 0
+    while stack:
+        true, false = stack.pop()
+        unassigned = everything & ~(true | false)
+        if unassigned:
+            nodes += 2
+            if nodes > NODE_BUDGET:
+                raise SearchExhausted(
+                    f"search spent its budget of {NODE_BUDGET} nodes on "
+                    f"{size} undecided atoms",
+                    everything,
+                )
+            atom = unassigned & -unassigned
+            watch = engine.watch[atom.bit_length() - 1]
+            for branch in (
+                engine.propagate(true, false | atom, watch, 0),
+                engine.propagate(true | atom, false, watch, 0),
+            ):
+                if branch is not None:
+                    stack.append(branch)
+        elif exact:
+            if _least_model_is(true, rules):
+                results.append(true)
+        else:
+            width = bin(true).count("1")
+            if width > brute_force_limit:
+                raise SearchExhausted(
+                    f"a model has {width} atoms to sweep for minimality, above "
+                    f"the brute-force limit {brute_force_limit}",
+                    true,
+                )
+            kept = [r for r in rules if _body_true(true, r, agg_index, aggs, tuples, conds)]
+            if _minimal(true, kept, agg_index, aggs, tuples, conds):
+                results.append(true)
+    return sorted(results)

@@ -98,7 +98,9 @@ _CLASS_PATTERNS = (
     (TokenKind.ID, r"[a-z][A-Za-z0-9_]*"),
     (TokenKind.VARIABLE, r"[A-Z][A-Za-z0-9_]*"),
     (TokenKind.NUMBER, r"0|[1-9][0-9]*"),
-    (TokenKind.STRING, r'"(?:[^\\"]|\\")*"'),
+    # The table's `"([^"]|\")*"`, with the escaped quote tried first so that
+    # the match is the longest one.
+    (TokenKind.STRING, r'"(?:\\"|[^"])*"'),
     # A line comment runs to the newline; one at end of input is accepted too.
     (TokenKind.COMMENT, r"%(?:[^*\n][^\n]*)?(?:\n|\Z)"),
     (TokenKind.MULTI_LINE_COMMENT, r"%\*(?:[^*]|\*[^%])*\*%"),

@@ -3,13 +3,12 @@ programs.
 
 The reference operations (literal satisfaction, models, reducts) work
 directly on atom sets. Enumeration packs the ground program, fixes the
-atoms the facts decide (`_fold`), and searches the open atoms (`_search`),
-or runs a brute-force kernel over them when one is asked for. Every emitted
-answer set is re-checked against the reference operations on the
-unsimplified ground program: consistency and modelhood always, minimality
-by the shifted reduct at any size, and by a submask sweep of up to 12
-atoms where the reduct has a head cycle or an aggregate in a rule with a
-head.
+atoms the facts decide (`_fold`), and searches the open atoms (`kernel`).
+Every emitted answer set is re-checked against the reference operations
+on the unsimplified ground program: consistency and modelhood always,
+minimality by the shifted reduct at any size, and by a submask sweep of up
+to 12 atoms where the reduct has a head cycle or an aggregate in a rule
+with a head.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Iterable, Optional, Union
 from . import kernel as _kernel
 from ._fold import fold_fixed
 from ._packed import pack_program
-from ._search import SearchExhausted
 from .analysis import DependencyGraph, atom_signature, signature_to_text
 from .errors import CapacityExceeded
 from .ground import (
@@ -269,9 +267,9 @@ def _minimal_by_shifting(
 
 def _verify_answer_set(
     ground_program: GroundProgram, interpretation: Interpretation
-) -> bool:
-    """Post-hoc reference check of one emitted answer set; whether its
-    minimality was checked."""
+) -> None:
+    """Post-hoc reference check of one emitted answer set. Minimality stays
+    unchecked above 12 atoms when the shifted reduct cannot decide it."""
     if not _is_consistent(interpretation):
         raise RuntimeError("internal error: inconsistent answer set emitted")
     if not is_model(ground_program, interpretation):
@@ -280,7 +278,7 @@ def _verify_answer_set(
     minimal = _minimal_by_shifting(red, interpretation)
     if minimal is None:
         if len(interpretation) > 12:
-            return False
+            return
         atoms = sorted(interpretation, key=atom_order_key)
         minimal = not any(
             is_model(red, frozenset(a for i, a in enumerate(atoms) if mask >> i & 1))
@@ -290,7 +288,6 @@ def _verify_answer_set(
         raise RuntimeError(
             "internal error: emitted answer set is not minimal for its reduct"
         )
-    return True
 
 
 def _largest_predicates(atoms: Iterable[ClassicalAtom]) -> str:
@@ -308,52 +305,33 @@ def answer_sets(
     ground_program: GroundProgram,
     *,
     brute_force_limit: int = 24,
-    kernel: Optional[str] = None,
     project: bool = True,
     verify: bool = True,
 ) -> tuple[Interpretation, ...]:
     """All answer sets, projected onto the user signature and sorted.
 
     Packs the ground program over its derivable head atoms, fixes the atoms
-    the facts decide and folds them out (`_fold`), and finds the minimal
-    models of their own reducts among the assignments to the open atoms:
-    by search (`_search`) unless `kernel` or ASPCORE2_KERNEL asks for a
-    brute-force kernel. `brute_force_limit` bounds the atoms of any
-    exhaustive sweep: for the search, a model's atoms where minimality
-    needs a submask sweep; for a brute-force kernel, every open atom.
-    CapacityExceeded also ends a search that spends `_search.NODE_BUDGET`
-    nodes. Each result is re-checked against the reference operations on
-    `ground_program` (see `_verify_answer_set`); the pure kernel re-runs as
-    a cross-check only when the compiled kernel produced an answer set
-    whose minimality that check left open.
+    the facts decide and folds them out (`_fold`), and searches the open
+    atoms for the minimal models of their own reducts (`kernel`).
+    CapacityExceeded ends a search that spends `kernel.NODE_BUDGET` nodes,
+    or that reaches a model whose minimality needs a submask sweep over
+    more than `brute_force_limit` atoms. Each result is re-checked against
+    the reference operations on `ground_program` (see
+    `_verify_answer_set`).
     """
     packed = pack_program(ground_program)
     folded = fold_fixed(packed.flat())
-    served = _kernel.served_by(folded.flat, kernel)
-    if served == "search":
-        try:
-            masks = _kernel.solve_masks(
-                folded.flat, kernel, brute_force_limit=brute_force_limit
-            )
-        except SearchExhausted as error:
-            named = [
-                packed.atoms[bit]
-                for j, bit in enumerate(folded.open_bits)
-                if error.atoms >> j & 1
-            ]
-            raise CapacityExceeded(
-                f"{error.message}; {_largest_predicates(named)}"
-            ) from None
-    else:
-        undecided = len(folded.open_bits)
-        if undecided > brute_force_limit:
-            open_atoms = [packed.atoms[i] for i in folded.open_bits]
-            raise CapacityExceeded(
-                f"candidate base has {packed.size} atoms, {undecided} of them "
-                f"undecided, above the brute-force limit {brute_force_limit}; "
-                f"{_largest_predicates(open_atoms)}"
-            )
-        masks = _kernel.solve_masks(folded.flat, kernel)
+    try:
+        masks = _kernel.solve_masks(folded.flat, brute_force_limit=brute_force_limit)
+    except _kernel.SearchExhausted as error:
+        named = [
+            packed.atoms[bit]
+            for j, bit in enumerate(folded.open_bits)
+            if error.atoms >> j & 1
+        ]
+        raise CapacityExceeded(
+            f"{error.message}; {_largest_predicates(named)}"
+        ) from None
     raw: list[Interpretation] = []
     for mask in masks:
         full = folded.unfold(mask)
@@ -361,13 +339,8 @@ def answer_sets(
             frozenset(atom for i, atom in enumerate(packed.atoms) if full >> i & 1)
         )
     if verify:
-        unchecked = [
-            not _verify_answer_set(ground_program, interpretation)
-            for interpretation in raw
-        ]
-        if any(unchecked) and served == "compiled":
-            if _kernel.solve_masks(folded.flat, "python") != masks:
-                raise RuntimeError("internal error: kernels disagree")
+        for interpretation in raw:
+            _verify_answer_set(ground_program, interpretation)
     results = raw
     if project:
         seen: dict[Interpretation, None] = {}
@@ -435,7 +408,6 @@ def optimal_answer_sets(
     ground_program: GroundProgram,
     *,
     brute_force_limit: int = 24,
-    kernel: Optional[str] = None,
 ) -> tuple[Interpretation, ...]:
     """The answer sets not dominated by any other answer set, in the order
     of `answer_sets`.
@@ -444,9 +416,7 @@ def optimal_answer_sets(
     a missing level counting as 0, so the non-dominated sets are those whose
     costs over the union of all integer levels form the least key.
     """
-    sets = answer_sets(
-        ground_program, brute_force_limit=brute_force_limit, kernel=kernel
-    )
+    sets = answer_sets(ground_program, brute_force_limit=brute_force_limit)
     costs = [weak_cost(ground_program, i) for i in sets]
     levels = sorted({l for c in costs for l in c if isinstance(l, int)}, reverse=True)
     keys = [tuple(c.get(level, 0) for level in levels) for c in costs]
@@ -477,12 +447,9 @@ def answer_query(
     query: Query,
     *,
     brute_force_limit: int = 24,
-    kernel: Optional[str] = None,
 ) -> QueryAnswer:
     """Cautious answering: true in every answer set."""
-    sets = answer_sets(
-        ground_program, brute_force_limit=brute_force_limit, kernel=kernel
-    )
+    sets = answer_sets(ground_program, brute_force_limit=brute_force_limit)
     if not sets:
         return QueryAnswer("inconsistent")
     atom = query.atom

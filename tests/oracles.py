@@ -402,12 +402,27 @@ def oracle_query_substitutions(
 _CLASS_RULES: tuple[tuple[TokenKind, re.Pattern[str]], ...] = (
     (TokenKind.ID, re.compile(r"[a-z][A-Za-z0-9_]*")),
     (TokenKind.VARIABLE, re.compile(r"[A-Z][A-Za-z0-9_]*")),
-    (TokenKind.STRING, re.compile(r'"(?:[^\\"]|\\")*"')),
     (TokenKind.NUMBER, re.compile(r"0|[1-9][0-9]*")),
     (TokenKind.COMMENT, re.compile(r"%(?:[^*\n][^\n]*)?(?:\n|\Z)")),
     (TokenKind.MULTI_LINE_COMMENT, re.compile(r"%\*(?:[^*]|\*[^%])*\*%")),
     (TokenKind.BLANK, re.compile(r"[ \t\n]+")),
 )
+
+# The table's STRING row as written. A regex alternation keeps the first
+# alternative that matches, not the longest, so `_string_length` tries the
+# row against every closing quote and keeps the longest full match.
+_STRING = re.compile(r'"([^"]|\\")*"')
+
+
+def _string_length(text: str, pos: int) -> int:
+    best = 0
+    end = text.find('"', pos + 1) if text.startswith('"', pos) else -1
+    while end != -1:
+        if _STRING.fullmatch(text, pos, end + 1):
+            best = end + 1 - pos
+        end = text.find('"', end + 1)
+    return best
+
 
 # Longest first so a prefix never shadows a longer match.
 _FIXED_RULES: tuple[tuple[TokenKind, str], ...] = tuple(
@@ -474,6 +489,10 @@ def oracle_scan(text: str) -> list[Token]:
             if m is not None and m.end() - pos > best_len:
                 best_kind = kind
                 best_len = m.end() - pos
+        string_len = _string_length(text, pos)
+        if string_len > best_len:
+            best_kind = TokenKind.STRING
+            best_len = string_len
         for kind, lexeme in _FIXED_RULES:
             if len(lexeme) >= best_len and text.startswith(lexeme, pos):
                 best_kind = kind

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from aspcore2 import _search, kernel
+from aspcore2 import kernel
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
 from aspcore2.parser import parse_program
@@ -263,7 +263,7 @@ QUEENS_4 = """num(1). num(2). num(3). num(4).
 
 
 def test_capacity_error_names_the_largest_predicates(monkeypatch):
-    monkeypatch.setattr(_search, "NODE_BUDGET", 10)
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 10)
     with pytest.raises(CapacityExceeded) as caught:
         answer_sets(ground(QUEENS_4))
     assert str(caught.value) == (
@@ -307,24 +307,6 @@ def test_program_decided_by_its_facts_needs_no_enumeration():
     assert len(model) == 7 + 28
 
 
-CYCLE_4_TWO_COLOURS = """node(1). node(2). node(3). node(4).
-edge(1,2). edge(2,3). edge(3,4). edge(4,1). col(r). col(g).
-{colour(X,C) : col(C)} = 1 :- node(X).
-:- edge(X,Y), colour(X,C), colour(Y,C)."""
-
-
-def test_limit_counts_only_undecided_atoms():
-    # for the brute-force kernels the limit bounds every undecided atom
-    program = ground(CYCLE_4_TWO_COLOURS)
-    assert len(answer_sets(program, brute_force_limit=16, kernel="python")) == 2
-    with pytest.raises(CapacityExceeded) as caught:
-        answer_sets(program, brute_force_limit=15, kernel="python")
-    assert str(caught.value).startswith(
-        "candidate base has 26 atoms, 16 of them undecided, above the "
-        "brute-force limit 15; "
-    )
-
-
 # --------------------------------------------------------------------------
 # Verification of emitted answer sets
 
@@ -332,9 +314,11 @@ def test_limit_counts_only_undecided_atoms():
 def test_verification_rejects_a_large_non_minimal_set(monkeypatch):
     facts = " ".join(f"f{i}." for i in range(13))
     program = ground(facts + " p | q.")
-    monkeypatch.setattr(kernel, "solve_masks", lambda flat, choice=None: [(1 << flat[0]) - 1])
+    monkeypatch.setattr(
+        kernel, "solve_masks", lambda flat, brute_force_limit: [(1 << flat[0]) - 1]
+    )
     with pytest.raises(RuntimeError, match="not minimal"):
-        answer_sets(program, kernel="python")
+        answer_sets(program)
 
 
 def test_verification_sweeps_a_reduct_with_a_head_cycle():
