@@ -7,7 +7,9 @@ blocks interleaved with the query-free programs of the grammar corpus, then
 times `tokenize`, the parser on the ready token list, `desugar` and
 `check_program`, each on the previous layer's output (best of R). Before
 timing, it checks that `tokenize` gives the lexemes of `oracle_scan`, the
-lexical table run literally, with trivia removed, and exits 1 if it does not.
+lexical table run literally, with trivia removed, and that the parser gives
+the program and statement spans of `oracle_parse`, the backtracking parser;
+it exits 1 if either does not.
 """
 
 import argparse
@@ -26,6 +28,7 @@ from aspcore2.rewrite import desugar
 from generators import random_nonground_program_text
 from grammar_corpus import ACCEPT
 from oracles import oracle_scan
+from parser_oracle import oracle_parse
 
 
 def program_text(rng, target_bytes):
@@ -62,6 +65,14 @@ def main(argv=None):
     agree = tokenize(text) == significant
     print(f"text: {len(text)} bytes, {len(lexemes) - 1} lexemes, "
           f"{len(significant) - 1} significant; tokenize agrees with oracle_scan: {agree}")
+    if not agree:
+        return 1
+    program, expected = _Parser(significant).parse_program(), oracle_parse(significant)
+    agree = program == expected and all(
+        ours.span == theirs.span
+        for ours, theirs in zip(program.statements(), expected.statements())
+    )
+    print(f"{len(program.statements())} statements; parse agrees with oracle_parse: {agree}")
     if not agree:
         return 1
 

@@ -135,18 +135,21 @@ def _body_true(mask: int, rule, agg_index, aggs, tuples, conds) -> bool:
     return True
 
 
-def _minimal(mask: int, kept, agg_index, aggs, tuples, conds) -> bool:
+def _minimal(mask: int, kept, agg_index, aggs, tuples, conds, budget: int) -> Optional[bool]:
     """Whether no proper submask of the model `mask` satisfies the rules
-    `kept`, its reduct: a sweep over all 2^|mask| submasks."""
+    `kept`, its reduct: a sweep over its 2^|mask| - 1 proper submasks,
+    largest first. None when `budget` submasks did not decide it."""
     sub = mask
-    while sub:
+    for _ in range(budget):
+        if not sub:
+            return True
         sub = (sub - 1) & mask
         if not any(
             _body_true(sub, rule, agg_index, aggs, tuples, conds) and not sub & rule[0]
             for rule in kept
         ):
             return False
-    return True
+    return None if sub else True
 
 
 def _range_truth(low: int, high: int, rel: Relation, guard: int) -> Optional[bool]:

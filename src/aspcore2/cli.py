@@ -6,7 +6,7 @@ deterministic for a fixed input and flag set.
 
 Exit codes: 0 success (satisfiable / query answered), 1 no answer sets,
 2 lexical or syntax error, 3 restriction violation, 4 capacity or bounds
-exceeded, 64 usage error.
+exceeded, 64 usage error, 141 (128 + SIGPIPE) stdout closed early.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import enum
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -43,6 +44,7 @@ from .syntax import (
 )
 
 USAGE_ERROR = 64
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone away
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -338,7 +340,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     filename = _input_name(getattr(args, "path", None))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone, as in `aspcore2 ground | head -1`.
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail too (the SIGPIPE note in the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (LexError, ParseError) as error:
         print(error.format(filename), file=sys.stderr)
         return 2

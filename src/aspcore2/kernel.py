@@ -11,7 +11,7 @@ it is minimal for its reduct:
   `h :- B+` for each rule whose body it satisfies and whose head it meets in
   `h` alone (Ben-Eliyahu & Dechter 1994);
 - otherwise by a sweep over its submasks, over at most `brute_force_limit`
-  atoms.
+  atoms and `SWEEP_BUDGET` submasks.
 
 References: Gebser, Kaufmann & Schaub, AIJ 2012; Simons, Niemela &
 Soininen, AIJ 2002.
@@ -37,6 +37,11 @@ def compiled_available() -> bool:
 # 2-vCPU Intel Xeon, so the budget runs out after 6-18 s; 10-queens takes
 # 79k nodes.
 NODE_BUDGET = 300_000
+
+# The submasks one minimality sweep may try before the search ends in
+# CapacityExceeded. 2^20 take about 3 s end to end on a 2-vCPU Intel Xeon,
+# and every model of up to 20 atoms is swept to the end within them.
+SWEEP_BUDGET = 1 << 20
 
 
 class SearchExhausted(CapacityExceeded):
@@ -88,7 +93,8 @@ def solve_masks(flat, *, brute_force_limit: int = 24) -> list[int]:
     """All answer-set bitmasks of the folded arrays, ascending.
 
     Raises SearchExhausted after NODE_BUDGET nodes, or at a model whose
-    minimality needs a sweep over more than `brute_force_limit` atoms.
+    minimality needs a sweep over more than `brute_force_limit` atoms or
+    more than SWEEP_BUDGET submasks.
     """
     size, _conflicts, rules, agg_index, aggs, tuples, conds = flat
     engine = _Fixpoint(flat, search=True)
@@ -131,6 +137,13 @@ def solve_masks(flat, *, brute_force_limit: int = 24) -> list[int]:
                     true,
                 )
             kept = [r for r in rules if _body_true(true, r, agg_index, aggs, tuples, conds)]
-            if _minimal(true, kept, agg_index, aggs, tuples, conds):
+            minimal = _minimal(true, kept, agg_index, aggs, tuples, conds, SWEEP_BUDGET)
+            if minimal is None:
+                raise SearchExhausted(
+                    f"a model has {width} atoms to sweep for minimality, and the "
+                    f"sweep spent its budget of {SWEEP_BUDGET} submasks",
+                    true,
+                )
+            if minimal:
                 results.append(true)
     return sorted(results)

@@ -1,14 +1,19 @@
 """Recursive-descent parser for ASP-Core-2.
 
-The grammar has a few LL conflicts at statement level (a classical literal
-can open a rule head, a builtin atom, a query, or the guard term of a choice
-atom), resolved here by backtracking over the token list. The first error
-wins: parsing stops at the earliest token that cannot continue a derivation.
+The grammar is LL(1) except where a classical literal can open a rule head,
+a query, a builtin atom, or the guard term of an aggregate or choice atom.
+Each production dispatches on the current token kind and parses each
+literal once: an ID, or a '-' directly before an ID, is read as a classical
+atom, and is read again as a term only when the token after it is a
+relation or one of + - * /. Valid input raises no exception. On the error
+path only, the parser rewinds to the start of the literal (or head) and runs
+the alternative the grammar's order tries last, a classical atom (or a
+disjunctive head), whose error is the one reported.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TypeVar
+from typing import Optional, Union
 
 from .errors import ParseError
 from .lexer import Token, TokenKind, tokenize
@@ -41,8 +46,6 @@ from .syntax import (
     WeakConstraint,
 )
 
-_T = TypeVar("_T")
-
 _RELATION_TOKENS = {
     TokenKind.EQUAL: Relation.EQ,
     TokenKind.UNEQUAL: Relation.NE,
@@ -59,6 +62,23 @@ _AGGREGATE_TOKENS = {
     TokenKind.AGGREGATE_SUM: AggregateFunction.SUM,
 }
 
+_ADDITIVE = {TokenKind.PLUS: ArithOp.ADD, TokenKind.MINUS: ArithOp.SUB}
+_MULTIPLICATIVE = {TokenKind.TIMES: ArithOp.MUL, TokenKind.DIV: ArithOp.DIV}
+
+# After a classical atom, these tokens make it the start of a term.
+_TERM_FOLLOW = frozenset(_RELATION_TOKENS) | frozenset(_ADDITIVE) | frozenset(_MULTIPLICATIVE)
+
+_BASIC_TERM_TOKENS = frozenset(
+    {
+        TokenKind.ID,
+        TokenKind.STRING,
+        TokenKind.NUMBER,
+        TokenKind.MINUS,
+        TokenKind.VARIABLE,
+        TokenKind.ANONYMOUS_VARIABLE,
+    }
+)
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -67,41 +87,28 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def at(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
+    def accept(self, kind: TokenKind) -> bool:
+        if self.tokens[self.pos].kind is kind:
             self.pos += 1
-        return token
-
-    def accept(self, kind: TokenKind) -> Optional[Token]:
-        if self.at(kind):
-            return self.advance()
-        return None
+            return True
+        return False
 
     def expect(self, kind: TokenKind, what: str) -> Token:
-        if self.at(kind):
-            return self.advance()
-        self.fail(f"expected {what}")
+        if self.tokens[self.pos].kind is not kind:
+            self.fail(f"expected {what}")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def fail(self, message: str) -> None:
-        token = self.peek()
+        token = self.tokens[self.pos]
         found = "end of input" if token.kind is TokenKind.EOF else repr(token.text)
         raise ParseError(f"{message}, found {found}", token.span)
 
-    def attempt(self, production: Callable[[], _T]) -> Optional[_T]:
-        """Parse with rollback: returns None if the production fails."""
-        saved = self.pos
-        try:
-            return production()
-        except ParseError:
-            self.pos = saved
-            return None
+    def at_classical_atom(self) -> bool:
+        kind = self.tokens[self.pos].kind
+        if kind is TokenKind.MINUS:
+            kind = self.tokens[self.pos + 1].kind
+        return kind is TokenKind.ID
 
     def span_from(self, start: Token) -> Span:
         last = self.tokens[self.pos - 1]
@@ -118,10 +125,10 @@ class _Parser:
         rules: list[Rule] = []
         weaks: list[WeakConstraint] = []
         query: Optional[Query] = None
-        while not self.at(TokenKind.EOF):
+        while self.tokens[self.pos].kind is not TokenKind.EOF:
             if query is not None:
                 self.fail("expected end of input after query")
-            start = self.peek()
+            start = self.tokens[self.pos]
             if self.accept(TokenKind.CONS):
                 body = self.parse_optional_body()
                 self.expect(TokenKind.DOT, "'.'")
@@ -129,23 +136,31 @@ class _Parser:
             elif self.accept(TokenKind.WCONS):
                 weaks.append(self.parse_weak_constraint(start))
             else:
-                q = self.attempt(self.parse_query)
-                if q is not None:
-                    query = q
-                    continue
-                rules.append(self.parse_rule(start))
+                statement = self.parse_rule_or_query(start)
+                if isinstance(statement, Query):
+                    query = statement
+                else:
+                    rules.append(statement)
         return Program(tuple(rules), tuple(weaks), query)
 
-    def parse_query(self) -> Query:
-        start = self.peek()
-        atom = self.parse_classical_atom()
-        self.expect(TokenKind.QUERY_MARK, "'?'")
-        return Query(atom, span=self.span_from(start))
-
-    def parse_rule(self, start: Token) -> Rule:
-        head = self.attempt(self.parse_choice_atom)
+    def parse_rule_or_query(self, start: Token) -> Union[Rule, Query]:
+        begin = self.pos
+        head: Union[list[ClassicalAtom], ChoiceAtom, None] = None
+        if self.at_classical_atom():
+            atom = self.parse_classical_atom()
+            if self.accept(TokenKind.QUERY_MARK):
+                return Query(atom, span=self.span_from(start))
+            if self.tokens[self.pos].kind in _TERM_FOLLOW:
+                self.pos = begin
+            else:
+                head = self.parse_disjunction(atom)
         if head is None:
-            head = self.parse_disjunction()
+            try:
+                head = self.parse_choice_atom()
+            except ParseError:
+                # Invalid input: report what a disjunctive head reports.
+                self.pos = begin
+                head = self.parse_disjunction(self.parse_classical_atom())
         body: list[BodyLiteral] = []
         if self.accept(TokenKind.CONS):
             body = self.parse_optional_body()
@@ -170,30 +185,24 @@ class _Parser:
 
     # -- heads ---------------------------------------------------------------
 
-    def parse_disjunction(self) -> list[ClassicalAtom]:
-        atoms = [self.parse_classical_atom()]
+    def parse_disjunction(self, first: ClassicalAtom) -> list[ClassicalAtom]:
+        atoms = [first]
         while self.accept(TokenKind.OR):
             atoms.append(self.parse_classical_atom())
         return atoms
 
     def parse_choice_atom(self) -> ChoiceAtom:
         left_guard = None
-        if not self.at(TokenKind.CURLY_OPEN):
-            term = self.parse_term()
-            relation = self.parse_relation()
-            left_guard = Guard(term, relation)
+        if self.tokens[self.pos].kind is not TokenKind.CURLY_OPEN:
+            left_guard = Guard(self.parse_term(), self.parse_relation())
         self.expect(TokenKind.CURLY_OPEN, "'{'")
         elements: list[ChoiceElement] = []
-        if not self.at(TokenKind.CURLY_CLOSE):
+        if self.tokens[self.pos].kind is not TokenKind.CURLY_CLOSE:
             elements.append(self.parse_choice_element())
             while self.accept(TokenKind.SEMICOLON):
                 elements.append(self.parse_choice_element())
         self.expect(TokenKind.CURLY_CLOSE, "'}'")
-        right_guard = None
-        if self.peek().kind in _RELATION_TOKENS:
-            relation = self.parse_relation()
-            right_guard = Guard(self.parse_term(), relation)
-        return ChoiceAtom(tuple(elements), left_guard, right_guard)
+        return ChoiceAtom(tuple(elements), left_guard, self.parse_right_guard())
 
     def parse_choice_element(self) -> ChoiceElement:
         atom = self.parse_classical_atom()
@@ -202,210 +211,173 @@ class _Parser:
             condition = self.parse_optional_naf_literals()
         return ChoiceElement(atom, tuple(condition))
 
+    def parse_right_guard(self) -> Optional[Guard]:
+        relation = _RELATION_TOKENS.get(self.tokens[self.pos].kind)
+        if relation is None:
+            return None
+        self.pos += 1
+        return Guard(self.parse_term(), relation)
+
     # -- bodies --------------------------------------------------------------
 
     def parse_optional_body(self) -> list[BodyLiteral]:
-        if self.at(TokenKind.DOT):
+        if self.tokens[self.pos].kind is TokenKind.DOT:
             return []
-        literals = [self.parse_body_literal()]
+        literals = [self.parse_literal(aggregates=True)]
         while self.accept(TokenKind.COMMA):
-            literals.append(self.parse_body_literal())
+            literals.append(self.parse_literal(aggregates=True))
         return literals
-
-    def parse_body_literal(self) -> BodyLiteral:
-        naf = self.accept(TokenKind.NAF) is not None
-        start = self.peek()
-        aggregate = self.attempt(self.parse_aggregate_atom)
-        if aggregate is not None:
-            if aggregate.left_guard is None and aggregate.right_guard is None:
-                raise ParseError("aggregate atom requires at least one guard", start.span)
-            return AggregateLiteral(aggregate, naf)
-        if naf:
-            return NafLiteral(self.parse_classical_atom(), naf=True)
-        builtin = self.attempt(self.parse_builtin_atom)
-        if builtin is not None:
-            return NafLiteral(builtin)
-        return NafLiteral(self.parse_classical_atom())
 
     def parse_optional_naf_literals(self) -> list[NafLiteral]:
         # Used where the grammar allows the literal list to be empty (after a
         # ':' in aggregate and choice elements); the follow set decides.
-        if self.peek().kind in (
-            TokenKind.CURLY_CLOSE,
-            TokenKind.SEMICOLON,
-            TokenKind.COMMA,
-        ):
-            if self.at(TokenKind.COMMA):
-                self.fail("expected literal")
+        kind = self.tokens[self.pos].kind
+        if kind is TokenKind.COMMA:
+            self.fail("expected literal")
+        if kind is TokenKind.CURLY_CLOSE or kind is TokenKind.SEMICOLON:
             return []
-        literals = [self.parse_naf_literal()]
+        literals = [self.parse_literal(aggregates=False)]
         while self.accept(TokenKind.COMMA):
-            literals.append(self.parse_naf_literal())
+            literals.append(self.parse_literal(aggregates=False))
         return literals
 
-    def parse_naf_literal(self) -> NafLiteral:
-        if self.accept(TokenKind.NAF):
-            return NafLiteral(self.parse_classical_atom(), naf=True)
-        builtin = self.attempt(self.parse_builtin_atom)
-        if builtin is not None:
-            return NafLiteral(builtin)
-        return NafLiteral(self.parse_classical_atom())
-
-    def parse_builtin_atom(self) -> BuiltinAtom:
-        left = self.parse_term()
-        relation = self.parse_relation()
-        right = self.parse_term()
-        return BuiltinAtom(left, relation, right)
+    def parse_literal(self, aggregates: bool) -> BodyLiteral:
+        """A classical literal, a builtin atom or, where `aggregates`, an
+        aggregate literal, after its `not` if any."""
+        naf = self.accept(TokenKind.NAF)
+        begin = self.pos
+        if self.at_classical_atom():
+            atom = self.parse_classical_atom()
+            if self.tokens[self.pos].kind not in _TERM_FOLLOW:
+                return NafLiteral(atom, naf)
+            self.pos = begin
+        aggregate = None
+        try:
+            if aggregates and self.tokens[begin].kind in _AGGREGATE_TOKENS:
+                aggregate = self.parse_aggregate_atom(None)
+            elif aggregates or not naf:
+                left = Guard(self.parse_term(), self.parse_relation())
+                if aggregates and self.tokens[self.pos].kind in _AGGREGATE_TOKENS:
+                    aggregate = self.parse_aggregate_atom(left)
+                elif not naf:
+                    return NafLiteral(BuiltinAtom(left.term, left.relation, self.parse_term()))
+        except ParseError:
+            pass
+        if aggregate is None:
+            # Only invalid input gets here: report what a classical atom
+            # read from the literal's start reports, or fail after it.
+            self.pos = begin
+            return NafLiteral(self.parse_classical_atom(), naf)
+        if aggregate.left_guard is None and aggregate.right_guard is None:
+            raise ParseError("aggregate atom requires at least one guard", self.tokens[begin].span)
+        return AggregateLiteral(aggregate, naf)
 
     def parse_relation(self) -> Relation:
-        kind = self.peek().kind
-        if kind in _RELATION_TOKENS:
-            self.advance()
-            return _RELATION_TOKENS[kind]
-        self.fail("expected comparison operator")
+        relation = _RELATION_TOKENS.get(self.tokens[self.pos].kind)
+        if relation is None:
+            self.fail("expected comparison operator")
+        self.pos += 1
+        return relation
 
     def parse_classical_atom(self) -> ClassicalAtom:
-        strong_negation = self.accept(TokenKind.MINUS) is not None
-        name = self.expect(TokenKind.ID, "predicate name")
+        strong_negation = self.accept(TokenKind.MINUS)
+        name = self.expect(TokenKind.ID, "predicate name").text
+        return ClassicalAtom(name, self.parse_arguments(), strong_negation)
+
+    def parse_arguments(self) -> tuple[Term, ...]:
+        """`(t1, ..., tn)` after a name, or nothing; `()` has no terms."""
+        if not self.accept(TokenKind.PAREN_OPEN):
+            return ()
         args: list[Term] = []
-        if self.accept(TokenKind.PAREN_OPEN):
-            if not self.at(TokenKind.PAREN_CLOSE):
+        if self.tokens[self.pos].kind is not TokenKind.PAREN_CLOSE:
+            args.append(self.parse_term())
+            while self.accept(TokenKind.COMMA):
                 args.append(self.parse_term())
-                while self.accept(TokenKind.COMMA):
-                    args.append(self.parse_term())
-            self.expect(TokenKind.PAREN_CLOSE, "')'")
-        return ClassicalAtom(name.text, tuple(args), strong_negation)
+        self.expect(TokenKind.PAREN_CLOSE, "')'")
+        return tuple(args)
 
     # -- aggregates ------------------------------------------------------------
 
-    def parse_aggregate_atom(self) -> AggregateAtom:
-        left_guard = None
-        if self.peek().kind not in _AGGREGATE_TOKENS:
-            term = self.parse_term()
-            relation = self.parse_relation()
-            left_guard = Guard(term, relation)
-        kind = self.peek().kind
-        if kind not in _AGGREGATE_TOKENS:
-            self.fail("expected aggregate function")
-        function = _AGGREGATE_TOKENS[kind]
-        self.advance()
+    def parse_aggregate_atom(self, left_guard: Optional[Guard]) -> AggregateAtom:
+        """The rest of an aggregate atom, from its function token on."""
+        function = _AGGREGATE_TOKENS[self.tokens[self.pos].kind]
+        self.pos += 1
         self.expect(TokenKind.CURLY_OPEN, "'{'")
         elements: list[AggregateElement] = []
-        if not self.at(TokenKind.CURLY_CLOSE):
+        if self.tokens[self.pos].kind is not TokenKind.CURLY_CLOSE:
             elements.append(self.parse_aggregate_element())
             while self.accept(TokenKind.SEMICOLON):
                 elements.append(self.parse_aggregate_element())
         self.expect(TokenKind.CURLY_CLOSE, "'}'")
-        right_guard = None
-        if self.peek().kind in _RELATION_TOKENS:
-            relation = self.parse_relation()
-            right_guard = Guard(self.parse_term(), relation)
-        return AggregateAtom(function, tuple(elements), left_guard, right_guard)
+        return AggregateAtom(function, tuple(elements), left_guard, self.parse_right_guard())
 
     def parse_aggregate_element(self) -> AggregateElement:
         terms: list[Term] = []
-        if self._at_basic_term():
+        if self.tokens[self.pos].kind in _BASIC_TERM_TOKENS:
             terms.append(self.parse_basic_term())
             while self.accept(TokenKind.COMMA):
                 terms.append(self.parse_basic_term())
-        explicit_colon = False
+        explicit_colon = self.accept(TokenKind.COLON)
         condition: list[NafLiteral] = []
-        if self.accept(TokenKind.COLON):
-            explicit_colon = True
+        if explicit_colon:
             condition = self.parse_optional_naf_literals()
         return AggregateElement(tuple(terms), tuple(condition), explicit_colon and not condition)
-
-    def _at_basic_term(self) -> bool:
-        kind = self.peek().kind
-        return kind in (
-            TokenKind.ID,
-            TokenKind.STRING,
-            TokenKind.NUMBER,
-            TokenKind.MINUS,
-            TokenKind.VARIABLE,
-            TokenKind.ANONYMOUS_VARIABLE,
-        )
 
     def parse_basic_term(self) -> Term:
         # Element terms are restricted to constants and variables; functional
         # and arithmetic terms are not in the element-term grammar.
-        token = self.advance()
+        token = self.tokens[self.pos]
         if token.kind is TokenKind.ID:
+            self.pos += 1
             return SymbolicConstant(token.text)
-        if token.kind is TokenKind.STRING:
-            return StringConstant(token.text[1:-1])
-        if token.kind is TokenKind.NUMBER:
-            return IntegerConstant(int(token.text))
         if token.kind is TokenKind.MINUS:
-            number = self.expect(TokenKind.NUMBER, "number")
-            return IntegerConstant(-int(number.text))
-        if token.kind is TokenKind.VARIABLE:
-            return Variable(token.text)
-        if token.kind is TokenKind.ANONYMOUS_VARIABLE:
-            return AnonymousVariable()
-        self.pos -= 1
-        self.fail("expected term")
+            self.pos += 1
+            return IntegerConstant(-int(self.expect(TokenKind.NUMBER, "number").text))
+        if token.kind not in _BASIC_TERM_TOKENS:
+            self.fail("expected term")
+        return self.parse_primary()
 
     # -- terms -------------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        term = self.parse_multiplicative()
-        while True:
-            if self.accept(TokenKind.PLUS):
-                term = ArithmeticTerm(ArithOp.ADD, (term, self.parse_multiplicative()))
-            elif self.accept(TokenKind.MINUS):
-                term = ArithmeticTerm(ArithOp.SUB, (term, self.parse_multiplicative()))
-            else:
-                return term
+        term = self.parse_product()
+        while (op := _ADDITIVE.get(self.tokens[self.pos].kind)) is not None:
+            self.pos += 1
+            term = ArithmeticTerm(op, (term, self.parse_product()))
+        return term
 
-    def parse_multiplicative(self) -> Term:
-        term = self.parse_unary()
-        while True:
-            if self.accept(TokenKind.TIMES):
-                term = ArithmeticTerm(ArithOp.MUL, (term, self.parse_unary()))
-            elif self.accept(TokenKind.DIV):
-                term = ArithmeticTerm(ArithOp.DIV, (term, self.parse_unary()))
-            else:
-                return term
-
-    def parse_unary(self) -> Term:
-        if self.accept(TokenKind.MINUS):
-            return ArithmeticTerm(ArithOp.NEG, (self.parse_unary(),))
-        return self.parse_primary()
+    def parse_product(self) -> Term:
+        term = self.parse_primary()
+        while (op := _MULTIPLICATIVE.get(self.tokens[self.pos].kind)) is not None:
+            self.pos += 1
+            term = ArithmeticTerm(op, (term, self.parse_primary()))
+        return term
 
     def parse_primary(self) -> Term:
-        token = self.peek()
-        if token.kind is TokenKind.NUMBER:
-            self.advance()
-            return IntegerConstant(int(token.text))
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return StringConstant(token.text[1:-1])
-        if token.kind is TokenKind.VARIABLE:
-            self.advance()
+        """A unary minus, a constant, a variable, a functional term, or a
+        parenthesized term."""
+        token = self.tokens[self.pos]
+        kind = token.kind
+        self.pos += 1
+        if kind is TokenKind.ID:
+            args = self.parse_arguments()
+            # f() collapses to the plain constant f.
+            return FunctionalTerm(token.text, args) if args else SymbolicConstant(token.text)
+        if kind is TokenKind.VARIABLE:
             return Variable(token.text)
-        if token.kind is TokenKind.ANONYMOUS_VARIABLE:
-            self.advance()
+        if kind is TokenKind.NUMBER:
+            return IntegerConstant(int(token.text))
+        if kind is TokenKind.MINUS:
+            return ArithmeticTerm(ArithOp.NEG, (self.parse_primary(),))
+        if kind is TokenKind.STRING:
+            return StringConstant(token.text[1:-1])
+        if kind is TokenKind.ANONYMOUS_VARIABLE:
             return AnonymousVariable()
-        if token.kind is TokenKind.ID:
-            self.advance()
-            if self.accept(TokenKind.PAREN_OPEN):
-                args: list[Term] = []
-                if not self.at(TokenKind.PAREN_CLOSE):
-                    args.append(self.parse_term())
-                    while self.accept(TokenKind.COMMA):
-                        args.append(self.parse_term())
-                self.expect(TokenKind.PAREN_CLOSE, "')'")
-                if args:
-                    return FunctionalTerm(token.text, tuple(args))
-                # f() collapses to the plain constant f.
-                return SymbolicConstant(token.text)
-            return SymbolicConstant(token.text)
-        if token.kind is TokenKind.PAREN_OPEN:
-            self.advance()
+        if kind is TokenKind.PAREN_OPEN:
             term = self.parse_term()
             self.expect(TokenKind.PAREN_CLOSE, "')'")
             return term
+        self.pos -= 1
         self.fail("expected term")
 
 

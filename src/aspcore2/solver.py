@@ -315,9 +315,9 @@ def answer_sets(
     atoms for the minimal models of their own reducts (`kernel`).
     CapacityExceeded ends a search that spends `kernel.NODE_BUDGET` nodes,
     or that reaches a model whose minimality needs a submask sweep over
-    more than `brute_force_limit` atoms. Each result is re-checked against
-    the reference operations on `ground_program` (see
-    `_verify_answer_set`).
+    more than `brute_force_limit` atoms or `kernel.SWEEP_BUDGET` submasks.
+    Each result is re-checked against the reference operations on
+    `ground_program` (see `_verify_answer_set`).
     """
     packed = pack_program(ground_program)
     folded = fold_fixed(packed.flat())

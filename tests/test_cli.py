@@ -297,6 +297,39 @@ def test_solve_capacity_exits_4(capsys, tmp_path):
     assert "brute-force limit" in err
 
 
+def test_sweep_over_its_budget_exits_4(tmp_path):
+    # one 24-atom model with head cycles, within the default brute-force
+    # limit: its sweep of 2^24 submasks took 43 s before kernel.SWEEP_BUDGET
+    path = source(tmp_path, " ".join(
+        f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(12)
+    ))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "aspcore2", "solve", path],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 15
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "24 atoms to sweep" in done.stderr and "budget of 1048576 submasks" in done.stderr
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # 20,000 facts print far more than a pipe holds, so writing fails once
+    # the reader has gone
+    path = source(tmp_path, "".join(f"f({i},{j}).\n" for i in range(200) for j in range(100)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "aspcore2", "ground", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        _out, err = process.communicate(timeout=30)
+    assert first == b"f(0,0).\n"
+    assert process.returncode == 141
+    assert err == b""
+
+
 def test_naive_grounding_over_its_budget_exits_4():
     # two element variables over the default universe: 2001^2 substitutions
     text = "b(1). b(2). h :- #sum{S : b(X), S = 2*X} > 3."

@@ -1,22 +1,33 @@
-"""Parser: corpus acceptance/rejection, round-trip stability, and AST
-shape spot checks."""
+"""Parser: corpus acceptance/rejection, round-trip stability, AST shape
+spot checks, and agreement with the backtracking parser."""
+
+import random
 
 import pytest
 
+from generators import random_ground_program, random_nonground_program_text
 from grammar_corpus import ACCEPT, REJECT
+from parser_oracle import oracle_parse
 
 from aspcore2.errors import AspCoreError, LexError, ParseError
-from aspcore2.parser import parse_program, parse_rule
+from aspcore2.lexer import tokenize
+from aspcore2.parser import _Parser, parse_program, parse_rule
 from aspcore2.syntax import (
+    AggregateAtom,
+    AggregateElement,
+    AggregateFunction,
     AggregateLiteral,
     ArithOp,
     ArithmeticTerm,
     BuiltinAtom,
     ChoiceAtom,
+    ChoiceElement,
     ClassicalAtom,
     FunctionalTerm,
+    Guard,
     IntegerConstant,
     NafLiteral,
+    Query,
     Relation,
     Rule,
     StringConstant,
@@ -170,3 +181,195 @@ def test_parse_rule_single_statement():
 
 def test_corpus_is_large_enough():
     assert len(ACCEPT) + len(REJECT) >= 60
+
+
+# Shapes the grammar corpus lacks: a literal that starts like a classical
+# atom but is a term, and a '-' before a number, which is always a term.
+# They stay out of grammar_corpus.ACCEPT because perfbench joins that corpus
+# into its frontend text.
+def _minus(value):
+    return ArithmeticTerm(ArithOp.NEG, (IntegerConstant(value),))
+
+
+SHAPES = [
+    (
+        "c :- -2 = #max{1,b : -a}.",
+        Rule(
+            (ClassicalAtom("c"),),
+            (
+                AggregateLiteral(
+                    AggregateAtom(
+                        AggregateFunction.MAX,
+                        (
+                            AggregateElement(
+                                (IntegerConstant(1), SymbolicConstant("b")),
+                                (NafLiteral(ClassicalAtom("a", (), True)),),
+                            ),
+                        ),
+                        Guard(_minus(2), Relation.EQ),
+                    )
+                ),
+            ),
+        ),
+    ),
+    (
+        "b | g :- -2 < #min{: a, c} >= 1.",
+        Rule(
+            (ClassicalAtom("b"), ClassicalAtom("g")),
+            (
+                AggregateLiteral(
+                    AggregateAtom(
+                        AggregateFunction.MIN,
+                        (
+                            AggregateElement(
+                                (),
+                                (NafLiteral(ClassicalAtom("a")), NafLiteral(ClassicalAtom("c"))),
+                            ),
+                        ),
+                        Guard(_minus(2), Relation.LT),
+                        Guard(IntegerConstant(1), Relation.GE),
+                    )
+                ),
+            ),
+        ),
+    ),
+    (
+        "a :- -p(1) + 2 < 3.",
+        Rule(
+            (ClassicalAtom("a"),),
+            (
+                NafLiteral(
+                    BuiltinAtom(
+                        ArithmeticTerm(
+                            ArithOp.ADD,
+                            (
+                                ArithmeticTerm(
+                                    ArithOp.NEG, (FunctionalTerm("p", (IntegerConstant(1),)),)
+                                ),
+                                IntegerConstant(2),
+                            ),
+                        ),
+                        Relation.LT,
+                        IntegerConstant(3),
+                    )
+                ),
+            ),
+        ),
+    ),
+    (
+        "a :- q(X), p(X) * 2 = 4.",
+        Rule(
+            (ClassicalAtom("a"),),
+            (
+                NafLiteral(ClassicalAtom("q", (Variable("X"),))),
+                NafLiteral(
+                    BuiltinAtom(
+                        ArithmeticTerm(
+                            ArithOp.MUL,
+                            (FunctionalTerm("p", (Variable("X"),)), IntegerConstant(2)),
+                        ),
+                        Relation.EQ,
+                        IntegerConstant(4),
+                    )
+                ),
+            ),
+        ),
+    ),
+    (
+        "1 < {a; b} :- c.",
+        Rule(
+            ChoiceAtom(
+                (ChoiceElement(ClassicalAtom("a")), ChoiceElement(ClassicalAtom("b"))),
+                Guard(IntegerConstant(1), Relation.LT),
+            ),
+            (NafLiteral(ClassicalAtom("c")),),
+        ),
+    ),
+    (
+        "-n + 2 < {a}.",
+        Rule(
+            ChoiceAtom(
+                (ChoiceElement(ClassicalAtom("a")),),
+                Guard(
+                    ArithmeticTerm(
+                        ArithOp.ADD,
+                        (ArithmeticTerm(ArithOp.NEG, (SymbolicConstant("n"),)), IntegerConstant(2)),
+                    ),
+                    Relation.LT,
+                ),
+            )
+        ),
+    ),
+    ("-p(1)?", Query(ClassicalAtom("p", (IntegerConstant(1),), True))),
+]
+
+
+@pytest.mark.parametrize("source,shape", SHAPES, ids=[source for source, _ in SHAPES])
+def test_literal_shapes_outside_the_corpus(source, shape):
+    (statement,) = parse_program(source).statements()
+    assert statement == shape
+
+
+def _outcome(parse, tokens):
+    try:
+        program = parse(tokens)
+    except ParseError as error:
+        return error.message, error.span
+    return program, [statement.span for statement in program.statements()]
+
+
+def _mutations(tokens, rng, count):
+    """`count` copies of `tokens`, each with one token before EOF deleted,
+    duplicated or swapped with another."""
+    out = []
+    for _ in range(count if len(tokens) > 1 else 0):
+        mutated = tokens[:-1]
+        i, j = rng.randrange(len(mutated)), rng.randrange(len(mutated))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del mutated[i]
+        elif edit == 1:
+            mutated.insert(i, mutated[i])
+        else:
+            mutated[i], mutated[j] = mutated[j], mutated[i]
+        out.append(mutated + tokens[-1:])
+    return out
+
+
+def _parser_sources():
+    rng = random.Random(17)
+    check_10 = [random_nonground_program_text(rng) for _ in range(100)]
+    rng = random.Random(29)
+    nonground = [random_nonground_program_text(rng) for _ in range(500)]
+    ground = []
+    for _ in range(500):
+        program = random_ground_program(rng, with_weaks=True)
+        statements = program.rules + program.weak_constraints
+        ground.append("\n".join(statement_to_text(s) for s in statements))
+    return (
+        [s for s, _ in ACCEPT]
+        + [s for s, _ in REJECT]
+        + [s for s, _ in SHAPES]
+        + check_10
+        + nonground
+        + ground
+    )
+
+
+def test_parse_agrees_with_backtracking_oracle():
+    rng = random.Random(23)
+    accepted = rejected = 0
+    for source in _parser_sources():
+        try:
+            tokens = tokenize(source)
+        except LexError:
+            continue
+        for variant in [tokens] + _mutations(tokens, rng, 20):
+            outcome = _outcome(lambda ts: _Parser(ts).parse_program(), variant)
+            assert outcome == _outcome(oracle_parse, variant), " ".join(t.text for t in variant)
+            if isinstance(outcome[0], str):
+                rejected += 1
+            else:
+                accepted += 1
+    # the mutations reach both outcomes often
+    assert accepted > 3000 and rejected > 15000, (accepted, rejected)

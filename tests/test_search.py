@@ -126,12 +126,36 @@ def test_sum_beyond_machine_words():
     assert model == {ClassicalAtom("a"), ClassicalAtom("big")}
 
 
+def head_cycle_pairs(n):
+    # one answer set, all 2n atoms, reached only through the sweep
+    return " ".join(f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(n))
+
+
 def test_limit_bounds_the_sweep_of_a_model():
-    text = " ".join(f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(3))
+    text = head_cycle_pairs(3)
     (model,) = answer_sets(ground(text), brute_force_limit=6)
     assert len(model) == 6
     with pytest.raises(CapacityExceeded, match="6 atoms to sweep .* brute-force limit 5"):
         answer_sets(ground(text), brute_force_limit=5)
+
+
+def test_sweep_budget_covers_a_model_of_20_atoms():
+    # 2^20 - 1 proper submasks, within kernel.SWEEP_BUDGET: about 3 s
+    (model,) = answer_sets(ground(head_cycle_pairs(10)))
+    assert len(model) == 20
+
+
+def test_sweep_budget_ends_in_capacity_exceeded(monkeypatch):
+    monkeypatch.setattr(kernel, "SWEEP_BUDGET", 100)
+    (model,) = answer_sets(ground(head_cycle_pairs(3)))  # 63 submasks
+    assert len(model) == 6
+    with pytest.raises(CapacityExceeded) as caught:
+        answer_sets(ground(head_cycle_pairs(4)))  # 255 submasks
+    assert str(caught.value) == (
+        "a model has 8 atoms to sweep for minimality, and the sweep spent its "
+        "budget of 100 submasks; most atoms: a0/0 (1), a1/0 (1), a2/0 (1) "
+        "and 5 more predicates"
+    )
 
 
 def test_head_cycle_free_program_needs_no_sweep():
