@@ -5,14 +5,18 @@ Usage: python3 benchmarks/bench_frontend.py [--kbytes K] [--seed N] [--repeats R
 Builds about K kilobytes of ASP-Core-2 text from `tests/generators.py`
 blocks interleaved with the query-free programs of the grammar corpus, then
 times `tokenize`, the parser on the ready token list, `desugar` and
-`check_program`, each on the previous layer's output (best of R). Before
-timing, it checks that `tokenize` gives the lexemes of `oracle_scan`, the
-lexical table run literally, with trivia removed, and that the parser gives
-the program and statement spans of `oracle_parse`, the backtracking parser;
-it exits 1 if either does not.
+`check_program`, each on the previous layer's output (best of R). Next to
+each time it prints how many cyclic garbage collections of generations 0, 1
+and 2 that run triggered (`gc.get_stats()`), which shows the allocation
+pressure of the layer. Before timing, it checks that `tokenize` gives the
+lexemes of `oracle_scan`, the lexical table run literally, with trivia
+removed; that the parser gives the program and statement spans of
+`oracle_parse`, the backtracking parser; and that `desugar` returns its own
+output unchanged. It exits 1 if any of these does not hold.
 """
 
 import argparse
+import gc
 import random
 import sys
 import time
@@ -43,12 +47,19 @@ def program_text(rng, target_bytes):
     return "".join(parts)
 
 
+def collections():
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
 def best_of(repeats, fn, arg):
+    """The least time of `repeats` calls, with the collections of that call."""
     samples = []
     for _ in range(repeats):
+        before = collections()
         start = time.perf_counter()
         result = fn(arg)
-        samples.append(time.perf_counter() - start)
+        seconds = time.perf_counter() - start
+        samples.append((seconds, [n - b for n, b in zip(collections(), before)]))
     return min(samples), result
 
 
@@ -75,6 +86,11 @@ def main(argv=None):
     print(f"{len(program.statements())} statements; parse agrees with oracle_parse: {agree}")
     if not agree:
         return 1
+    core = desugar(program)
+    agree = desugar(core) == core
+    print(f"{len(core.statements())} core statements; desugar is idempotent on them: {agree}")
+    if not agree:
+        return 1
 
     layers = (
         ("tokenize", tokenize),
@@ -83,9 +99,10 @@ def main(argv=None):
         ("check", check_program),
     )
     value = text
+    print(f"{'layer':<10}{'best':>10}  gc collections (gen 0/1/2)")
     for name, fn in layers:
-        seconds, value = best_of(args.repeats, fn, value)
-        print(f"{name:<10}{seconds:>10.4f}s")
+        (seconds, counts), value = best_of(args.repeats, fn, value)
+        print(f"{name:<10}{seconds:>10.4f}s  {'/'.join(map(str, counts))}")
     return 0
 
 

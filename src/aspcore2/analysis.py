@@ -9,7 +9,8 @@ undefined division).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from itertools import chain
+from typing import Iterable, Optional, Union
 
 from .syntax import (
     AggregateLiteral,
@@ -215,6 +216,9 @@ def check_safety(statement: Statement) -> SafetyReport:
         body: tuple[Union[BodyLiteral, NafLiteral], ...] = (NafLiteral(statement.atom),)
     else:
         body = statement.body
+    # Nothing to bind: no global variable, and no aggregate with local ones.
+    if not scope and not any(isinstance(l, AggregateLiteral) for l in body):
+        return SafetyReport(statement)
     bound = bound_variables(body, scope)
     for name in sorted(scope - bound):
         unbound.append(UnboundVariable(name, "global", _diagnose_unbound(name, body)))
@@ -324,38 +328,45 @@ class DependencyGraph:
         return out
 
 
-def _body_classical_atoms(literal: BodyLiteral) -> Iterator[ClassicalAtom]:
-    if isinstance(literal, AggregateLiteral):
-        for element in literal.atom.elements:
-            for cond in element.condition:
-                if isinstance(cond.atom, ClassicalAtom):
-                    yield cond.atom
-    elif isinstance(literal.atom, ClassicalAtom):
-        yield literal.atom
+def _walk(statements: Iterable[Statement]) -> tuple[DependencyGraph, list[tuple]]:
+    """One walk over the classical atoms of desugared statements.
+
+    Returns the dependency graph, and each rule that has both head atoms and
+    aggregate conditions with the signatures of the two, in source order.
+    """
+    vertices: set[Signature] = set()
+    edges: set[tuple[Signature, Signature]] = set()
+    aggregates: list[tuple[Rule, list[Signature], list[Signature]]] = []
+    for statement in statements:
+        _require_desugared(statement)
+        if isinstance(statement, Query):
+            vertices.add(atom_signature(statement.atom))
+            continue
+        body: list[Signature] = []
+        conditions: list[Signature] = []
+        for literal in statement.body:
+            if isinstance(literal, AggregateLiteral):
+                for element in literal.atom.elements:
+                    for cond in element.condition:
+                        if isinstance(cond.atom, ClassicalAtom):
+                            conditions.append(atom_signature(cond.atom))
+            elif isinstance(literal.atom, ClassicalAtom):
+                body.append(atom_signature(literal.atom))
+        vertices.update(body, conditions)
+        if isinstance(statement, Rule) and statement.head:
+            heads = [atom_signature(a) for a in statement.head]
+            vertices.update(heads)
+            for head in heads:
+                edges.update((head, sig) for sig in chain(heads, body, conditions))
+            if conditions:
+                aggregates.append((statement, heads, conditions))
+    return DependencyGraph(frozenset(vertices), frozenset(edges)), aggregates
 
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
     """Vertices for every signed predicate occurrence, edges head-to-head
     (including self) and head-to-body-atom per rule."""
-    vertices: set[Signature] = set()
-    edges: set[tuple[Signature, Signature]] = set()
-    for statement in program.statements():
-        if isinstance(statement, Query):
-            vertices.add(atom_signature(statement.atom))
-            continue
-        _require_desugared(statement)
-        body = statement.body
-        body_sigs = [atom_signature(a) for l in body for a in _body_classical_atoms(l)]
-        vertices.update(body_sigs)
-        if isinstance(statement, Rule):
-            head_sigs = [atom_signature(a) for a in statement.head_atoms()]
-            vertices.update(head_sigs)
-            for head in head_sigs:
-                for other in head_sigs:
-                    edges.add((head, other))
-                for body_sig in body_sigs:
-                    edges.add((head, body_sig))
-    return DependencyGraph(frozenset(vertices), frozenset(edges))
+    return _walk(program.statements())[0]
 
 
 # --------------------------------------------------------------------------
@@ -382,36 +393,29 @@ def rule_text(rule: Rule) -> str:
     return statement_to_text(rule)
 
 
-def check_aggregates_nonrecursive(
-    program: Program, graph: Optional[DependencyGraph] = None
-) -> list[RecursiveAggregate]:
+def check_aggregates_nonrecursive(program: Program) -> list[RecursiveAggregate]:
     """Every atom inside an aggregate must not reach any head atom of its rule."""
-    if graph is None:
-        graph = build_dependency_graph(program)
+    graph, aggregates = _walk(program.rules)
+    return _recursive_aggregates(aggregates, graph)
+
+
+def _recursive_aggregates(
+    aggregates: list[tuple], graph: DependencyGraph
+) -> list[RecursiveAggregate]:
+    # A head has an edge to each of its aggregates' condition atoms, so a
+    # condition atom reaches the head exactly when the two share a component.
+    if not aggregates:
+        return []
+    component = {v: i for i, members in enumerate(graph.components()) for v in members}
     violations: list[RecursiveAggregate] = []
-    for rule in program.rules:
-        _require_desugared(rule)
-        head_sigs = [atom_signature(a) for a in rule.head_atoms()]
-        if not head_sigs:
-            continue
+    for rule, heads, conditions in aggregates:
         seen: set[tuple[Signature, Signature]] = set()
-        for literal in rule.body:
-            if not isinstance(literal, AggregateLiteral):
-                continue
-            for element in literal.atom.elements:
-                for cond in element.condition:
-                    if not isinstance(cond.atom, ClassicalAtom):
-                        continue
-                    source = atom_signature(cond.atom)
-                    for head in head_sigs:
-                        if (source, head) in seen:
-                            continue
-                        path = graph.find_path(source, head)
-                        if path is not None:
-                            seen.add((source, head))
-                            violations.append(
-                                RecursiveAggregate(rule, source, head, tuple(path))
-                            )
+        for source in conditions:
+            for head in heads:
+                if component[source] == component[head] and (source, head) not in seen:
+                    seen.add((source, head))
+                    path = tuple(graph.find_path(source, head))
+                    violations.append(RecursiveAggregate(rule, source, head, path))
     return violations
 
 
@@ -429,29 +433,17 @@ class ArityWarning:
         return f"predicate name '{self.name}' is used with arities {arities}"
 
 
-def _statement_classical_atoms(statement: Statement) -> Iterator[ClassicalAtom]:
-    if isinstance(statement, Query):
-        yield statement.atom
-        return
-    if isinstance(statement, Rule):
-        yield from statement.head_atoms()
-        if isinstance(statement.head, ChoiceAtom):
-            for element in statement.head.elements:
-                yield element.atom
-                for cond in element.condition:
-                    if isinstance(cond.atom, ClassicalAtom):
-                        yield cond.atom
-    for literal in statement.body:
-        yield from _body_classical_atoms(literal)
-
-
 def check_arities(program: Program) -> list[ArityWarning]:
     """Warn once per predicate name used with multiple arities (strong
     negation does not separate names)."""
+    return _arities(build_dependency_graph(program).vertices)
+
+
+def _arities(vertices: Iterable[Signature]) -> list[ArityWarning]:
+    # The graph has a vertex for every signed predicate the program uses.
     arities: dict[str, set[int]] = {}
-    for statement in program.statements():
-        for atom in _statement_classical_atoms(statement):
-            arities.setdefault(atom.predicate, set()).add(len(atom.args))
+    for _negation, name, arity in vertices:
+        arities.setdefault(name, set()).add(arity)
     return [
         ArityWarning(name, tuple(sorted(seen)))
         for name, seen in sorted(arities.items())
@@ -524,10 +516,11 @@ class AnalysisResult:
 
 def check_program(program: Program) -> AnalysisResult:
     """Run every restriction check and lint on a desugared program."""
-    graph = build_dependency_graph(program)
+    statements = program.statements()
+    graph, aggregates = _walk(statements)
     return AnalysisResult(
-        tuple(check_safety(s) for s in program.statements()),
-        tuple(check_aggregates_nonrecursive(program, graph)),
-        tuple(check_arities(program)),
+        tuple(check_safety(s) for s in statements),
+        tuple(_recursive_aggregates(aggregates, graph)),
+        tuple(_arities(graph.vertices)),
         tuple(lint_undefined_arithmetic(program)),
     )

@@ -150,10 +150,13 @@ _MASTER = re.compile(
     )
 )
 
-_KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
-
-# Kinds whose lexeme may span lines.
-_MULTI_LINE = TRIVIA | {TokenKind.STRING}
+# Per group name: its kind, whether it is trivia, and whether its lexeme may
+# span lines. The loop reads these from one lookup, since hashing an enum
+# member calls `Enum.__hash__`, which is written in Python.
+_GROUPS = {
+    kind.name: (kind, kind in TRIVIA, kind in TRIVIA or kind is TokenKind.STRING)
+    for kind in TokenKind
+}
 
 
 def _diagnose(text: str, pos: int) -> str:
@@ -169,14 +172,11 @@ def _lex(text: str, keep_trivia: bool) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     match = _MASTER.match
-    # `_make` builds the tuple directly, at about half the cost of a call
-    # to the class, whose `__new__` is written in Python.
-    make_token = Token._make
-    make_span = Span._make
-    kind_of_group = _KIND_OF_GROUP
-    trivia = TRIVIA
-    multi_line = _MULTI_LINE
-    ident = TokenKind.ID
+    # `tuple.__new__` builds a NamedTuple without a call to its class's
+    # `__new__` or `_make`, both written in Python.
+    new = tuple.__new__
+    groups = _GROUPS
+    naf = TokenKind.NAF
     pos = 0
     line = 1
     line_start = 0  # offset of the first character of the current line
@@ -185,15 +185,15 @@ def _lex(text: str, keep_trivia: bool) -> list[Token]:
         m = match(text, pos)
         if m is None:
             raise LexError(_diagnose(text, pos), Span(pos, 1, line, pos - line_start + 1))
-        kind = kind_of_group[m.lastgroup]
+        kind, trivia, multi_line = groups[m.lastgroup]
         end = m.end()
-        if keep_trivia or kind not in trivia:
+        if keep_trivia or not trivia:
             lexeme = m.group()
-            if kind is ident and lexeme == "not":
-                kind = TokenKind.NAF
-            span = make_span((pos, end - pos, line, pos - line_start + 1))
-            append(make_token((kind, lexeme, span)))
-        if kind in multi_line:
+            if lexeme == "not":  # only the ID pattern matches it
+                kind = naf
+            span = new(Span, (pos, end - pos, line, pos - line_start + 1))
+            append(new(Token, (kind, lexeme, span)))
+        if multi_line:
             newlines = text.count("\n", pos, end)
             if newlines:
                 line += newlines

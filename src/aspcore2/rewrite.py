@@ -5,10 +5,15 @@ constraints whose aggregates carry exactly one guard, on the right; choice
 rules are compiled away with auxiliary predicates, and every anonymous
 variable has been replaced by a fresh named variable. The pipeline is
 idempotent: desugaring a desugared program returns it unchanged.
+
+A statement with nothing to rewrite (no `_`, no choice head and no aggregate
+with a left guard) is not rebuilt: the output shares that statement object
+with the input, which is safe because every node is frozen.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Union
 
 from .syntax import (
@@ -33,6 +38,8 @@ from .syntax import (
     Term,
     Variable,
     WeakConstraint,
+    iter_statement_terms,
+    iter_subterms,
     make_aux_name,
     statement_variables,
     transform_statement,
@@ -45,6 +52,12 @@ from .syntax import (
 
 def name_anonymous_variables(statement: Statement) -> Statement:
     """Replace each `_` with a fresh variable unused in the statement."""
+    if not any(
+        isinstance(sub, AnonymousVariable)
+        for top in iter_statement_terms(statement)
+        for sub in iter_subterms(top)
+    ):
+        return statement
     used = statement_variables(statement)
     counter = 0
 
@@ -69,17 +82,14 @@ def name_anonymous_variables(statement: Statement) -> Statement:
 # Guard normalization
 
 
-def _flip_left_guard(atom: AggregateAtom) -> AggregateAtom:
-    """Move a lone left guard to the right by inverting its relation."""
+def _flip_left_guard(atom: Union[AggregateAtom, ChoiceAtom]) -> Union[AggregateAtom, ChoiceAtom]:
+    """Move a lone left guard of an aggregate or choice atom to the right by
+    inverting its relation."""
     if atom.left_guard is None or atom.right_guard is not None:
         return atom
     guard = atom.left_guard
-    return AggregateAtom(
-        atom.function,
-        atom.elements,
-        None,
-        Guard(guard.term, INVERTED_RELATION[guard.relation]),
-    )
+    flipped = Guard(guard.term, INVERTED_RELATION[guard.relation])
+    return replace(atom, left_guard=None, right_guard=flipped)
 
 
 def _split_two_bound_body(
@@ -115,62 +125,34 @@ def _split_two_bound_body(
 
 def normalize_guards(statement: Statement) -> list[Statement]:
     """Expand two-bound aggregates and choices, then flip left-only guards."""
-    worklist: list[Statement] = [statement]
+    stack: list[Statement] = [statement]
     done: list[Statement] = []
-    while worklist:
-        current = worklist.pop(0)
-        if isinstance(current, Rule):
-            head = current.head
-            if (
-                isinstance(head, ChoiceAtom)
-                and head.left_guard is not None
-                and head.right_guard is not None
-            ):
-                left = ChoiceAtom(head.elements, head.left_guard, None)
-                right = ChoiceAtom(head.elements, None, head.right_guard)
-                worklist.insert(0, Rule(right, current.body, span=current.span))
-                worklist.insert(0, Rule(left, current.body, span=current.span))
-                continue
-            split = _split_two_bound_body(current.body)
-            if split is not None:
-                for body in reversed(split):
-                    worklist.insert(0, Rule(current.head, tuple(body), span=current.span))
-                continue
-        elif isinstance(current, WeakConstraint):
-            split = _split_two_bound_body(current.body)
-            if split is not None:
-                for body in reversed(split):
-                    worklist.insert(
-                        0,
-                        WeakConstraint(
-                            tuple(body),
-                            current.weight,
-                            current.level,
-                            current.terms,
-                            span=current.span,
-                        ),
-                    )
-                continue
-        done.append(_flip_remaining_left_guards(current))
-    return done
-
-
-def _flip_remaining_left_guards(statement: Statement) -> Statement:
-    if isinstance(statement, Rule):
-        head = statement.head
+    while stack:
+        current = stack.pop()
+        if isinstance(current, Query):
+            done.append(current)
+            continue
+        head = current.head if isinstance(current, Rule) else None
+        if (
+            isinstance(head, ChoiceAtom)
+            and head.left_guard is not None
+            and head.right_guard is not None
+        ):
+            for guards in ((None, head.right_guard), (head.left_guard, None)):
+                stack.append(replace(current, head=ChoiceAtom(head.elements, *guards)))
+            continue
+        split = _split_two_bound_body(current.body)
+        if split is not None:
+            stack.extend(replace(current, body=tuple(body)) for body in reversed(split))
+            continue
+        # What is left to rewrite is a lone left guard.
         if isinstance(head, ChoiceAtom) and head.left_guard is not None:
-            guard = head.left_guard
-            head = ChoiceAtom(
-                head.elements, None, Guard(guard.term, INVERTED_RELATION[guard.relation])
-            )
-        body = tuple(_flip_body_literal(l) for l in statement.body)
-        return Rule(head, body, span=statement.span)
-    if isinstance(statement, WeakConstraint):
-        body = tuple(_flip_body_literal(l) for l in statement.body)
-        return WeakConstraint(
-            body, statement.weight, statement.level, statement.terms, span=statement.span
-        )
-    return statement
+            current = replace(current, head=_flip_left_guard(head))
+        body = current.body
+        if any(isinstance(l, AggregateLiteral) and l.atom.left_guard is not None for l in body):
+            current = replace(current, body=tuple(map(_flip_body_literal, body)))
+        done.append(current)
+    return done
 
 
 def _flip_body_literal(literal: BodyLiteral) -> BodyLiteral:

@@ -48,7 +48,7 @@ class StringConstant:
     value: str
 
     def content(self) -> str:
-        """Unescaped text (the only escape is a doubled-up quote)."""
+        """Unescaped text (the only escape is a backslash before a quote)."""
         return self.value.replace('\\"', '"')
 
 

@@ -4,6 +4,7 @@ arity warnings, and the undefined-arithmetic lint."""
 import pytest
 
 from aspcore2.analysis import (
+    UnboundVariable,
     build_dependency_graph,
     check_aggregates_nonrecursive,
     check_arities,
@@ -143,6 +144,28 @@ def test_unsafe_diagnosis_names_condition_iii():
     assert "condition (iii)" in report.describe()
 
 
+@pytest.mark.parametrize(
+    "text, unbound",
+    [
+        ("a :- #count{X : not p(X)} > 0.", (UnboundVariable("X", "element-local", "(i)"),)),
+        (":~ a. [1@0, X]", (UnboundVariable("X", "global", "(i)"),)),
+        ("a :- #sum{1 : p(X)} > 0.", ()),
+        (":- #count{X: q(X)} = Y.", ()),
+    ],
+)
+def test_safety_of_statements_with_few_or_no_global_variables(text, unbound):
+    # Each has a global variable or an aggregate, so none is safe merely for
+    # having nothing to bind.
+    (report,) = safety_reports(text)
+    assert report.unbound == unbound
+
+
+def test_variable_free_statements_are_safe():
+    for report in safety_reports("a. b :- a, not c. :- a, b. :~ a. [1@0] a?"):
+        assert report.safe
+        assert report.describe() == "safe"
+
+
 # --------------------------------------------------------------------------
 # Dependency graph and recursive aggregates
 
@@ -219,6 +242,29 @@ def test_indirect_recursive_aggregate_rejected():
     program = desugar(parse_program(text))
     violations = check_aggregates_nonrecursive(program)
     assert violations
+
+
+def test_recursion_through_a_three_predicate_cycle_names_its_path():
+    text = "a :- #count{X : b(X)} > 0. b(X) :- c(X). c(1) :- a."
+    (violation,) = check_aggregates_nonrecursive(desugar(parse_program(text)))
+    assert violation.describe() == (
+        "aggregate over b/1 is recursive with head a/0 via b/1 -> c/1 -> a/0 "
+        "in `a :- #count{X : b(X)} > 0.`"
+    )
+
+
+def test_recursive_aggregates_are_reported_in_source_order():
+    text = (
+        "p(1) | q :- #sum{X : r(X)} > 1, #count{Y : q} > 0. r(1) :- s. s :- p(1)."
+        " u :- #count{X : t(X)} > 0. t(1)."
+    )
+    violations = analyze(text).recursive_aggregates
+    assert [v.describe().split(" in ")[0] for v in violations] == [
+        "aggregate over r/1 is recursive with head p/1 via r/1 -> s/0 -> p/1",
+        "aggregate over r/1 is recursive with head q/0 via r/1 -> s/0 -> p/1 -> q/0",
+        "aggregate over q/0 is recursive with head p/1 via q/0 -> p/1",
+        "aggregate over q/0 is recursive with head q/0 via q/0 -> q/0",
+    ]
 
 
 def test_nonrecursive_aggregate_accepted():

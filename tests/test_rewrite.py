@@ -1,6 +1,13 @@
 """Rewriter: anonymous-variable naming, guard normalization, and the
 choice-rule mapping into disjunctive rules plus a count constraint."""
 
+import random
+
+import pytest
+
+from generators import random_nonground_program_text
+from grammar_corpus import ACCEPT
+
 from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
 from aspcore2.syntax import (
@@ -138,3 +145,53 @@ def test_desugaring_is_idempotent_on_core_programs():
 def test_plain_rules_pass_through():
     text = "p(X) :- q(X), not r(X), X > 1."
     assert core_lines(text) == [text]
+
+
+def corpus_texts():
+    rng = random.Random(23)
+    texts = [source for source, _note in ACCEPT]
+    texts.extend(random_nonground_program_text(rng) for _ in range(500))
+    return texts
+
+
+def test_desugar_is_idempotent_and_keeps_core_statements_as_they_are():
+    for text in corpus_texts():
+        core = desugar(parse_program(text))
+        again = desugar(core)
+        assert again == core, text
+        for before, after in zip(core.statements(), again.statements()):
+            assert after is before, statement_to_text(before)
+
+
+def test_statements_with_nothing_to_rewrite_are_shared_with_the_input():
+    program = parse_program(
+        "p(X) :- q(X), not r(X), X > 1. :- #count{X : q(X)} > 2."
+        " :~ p(X). [X@1] p(X)?"
+    )
+    core = desugar(program)
+    assert core == program
+    for before, after in zip(program.statements(), core.statements()):
+        assert after is before
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("p(X) :- q(X,_).", ["p(X) :- q(X,V1)."]),
+        (":~ q(X). [1@0,_]", [":~ q(X). [1@0,V1]"]),
+        ("p(_)?", ["p(V1)?"]),
+        ("a :- b, 1 < #count{X : q(X)} < 3.", ["a :- b, #count{X : q(X)} > 1, #count{X : q(X)} < 3."]),
+        (
+            "a :- not 1 < #count{X : q(X)} < 3.",
+            ["a :- not #count{X : q(X)} > 1.", "a :- not #count{X : q(X)} < 3."],
+        ),
+        ("a :- b, 2 <= #sum{X : q(X)}.", ["a :- b, #sum{X : q(X)} >= 2."]),
+        (":~ 2 > #max{X : q(X)}. [1@0]", [":~ #max{X : q(X)} < 2. [1@0]"]),
+    ],
+)
+def test_statements_with_something_to_rewrite_are_rebuilt(text, expected):
+    program = parse_program(text)
+    (statement,) = program.statements()
+    core = desugar(program)
+    assert [statement_to_text(s) for s in core.statements()] == expected
+    assert all(s is not statement for s in core.statements())
