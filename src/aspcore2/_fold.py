@@ -14,7 +14,7 @@ A body is certainly true when its positive atoms are fixed true, its naf
 atoms fixed false, and every aggregate has all of its condition atoms fixed
 and holds on them. Conflicts count as constraints. A constraint never fixes
 an atom true: a true-fixed atom must belong to every model of the reduct
-below the answer set, or a minimality sweep over the folded arrays would
+below the answer set, or a minimality check over the folded arrays would
 accept sets that are not minimal.
 
 Folding drops each rule whose body is false or whose head holds a
@@ -133,23 +133,6 @@ def _body_true(mask: int, rule, agg_index, aggs, tuples, conds) -> bool:
         if not _aggregate_true(mask, aggs[agg_index[a]], tuples, conds):
             return False
     return True
-
-
-def _minimal(mask: int, kept, agg_index, aggs, tuples, conds, budget: int) -> Optional[bool]:
-    """Whether no proper submask of the model `mask` satisfies the rules
-    `kept`, its reduct: a sweep over its 2^|mask| - 1 proper submasks,
-    largest first. None when `budget` submasks did not decide it."""
-    sub = mask
-    for _ in range(budget):
-        if not sub:
-            return True
-        sub = (sub - 1) & mask
-        if not any(
-            _body_true(sub, rule, agg_index, aggs, tuples, conds) and not sub & rule[0]
-            for rule in kept
-        ):
-            return False
-    return None if sub else True
 
 
 def _range_truth(low: int, high: int, rel: Relation, guard: int) -> Optional[bool]:

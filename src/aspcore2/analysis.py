@@ -498,6 +498,7 @@ class AnalysisResult:
     recursive_aggregates: tuple[RecursiveAggregate, ...]
     arity_warnings: tuple[ArityWarning, ...]
     arithmetic_warnings: tuple[ArithmeticWarning, ...]
+    graph: DependencyGraph
 
     @property
     def ok(self) -> bool:
@@ -523,4 +524,5 @@ def check_program(program: Program) -> AnalysisResult:
         tuple(_recursive_aggregates(aggregates, graph)),
         tuple(_arities(graph.vertices)),
         tuple(lint_undefined_arithmetic(program)),
+        graph,
     )

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .analysis import build_dependency_graph, check_program, signature_to_text
+from .analysis import AnalysisResult, check_program, signature_to_text
 from .errors import AspCoreError, BoundExceeded, CapacityExceeded, LexError, ParseError
 from .ground import GroundProgram, UniverseBounds, ground_program
 from .lexer import TokenKind, tokenize
@@ -101,9 +101,8 @@ def format_interpretation(interpretation: Interpretation) -> str:
     return "{" + ", ".join(classical_atom_to_text(a) for a in atoms) + "}"
 
 
-def _analysis_gate(core: Program) -> int:
+def _analysis_gate(result: AnalysisResult) -> int:
     """Report analysis diagnostics; non-zero on restriction violations."""
-    result = check_program(core)
     for warning in result.warnings():
         print(f"warning: {warning}", file=sys.stderr)
     for violation in result.violations():
@@ -118,7 +117,7 @@ def _ground_from_args(args) -> tuple[Program, Optional[int], Optional[GroundProg
     """
     program = parse_program(_read_input(args.path))
     core = desugar(program)
-    status = _analysis_gate(core)
+    status = _analysis_gate(check_program(core))
     if status != 0:
         return core, status, None
     bounds = UniverseBounds(max_int=args.max_int, max_nesting=args.max_nesting)
@@ -154,12 +153,12 @@ def _cmd_check(args) -> int:
         rendered = _program_text(core)
         if rendered:
             print(rendered)
-    status = _analysis_gate(core)
+    result = check_program(core)
+    status = _analysis_gate(result)
     if args.dump_graph:
-        graph = build_dependency_graph(core)
         lines = sorted(
             f"edge {signature_to_text(a)} {signature_to_text(b)}"
-            for a, b in graph.edges
+            for a, b in result.graph.edges
         )
         for line in lines:
             print(line)
@@ -181,9 +180,9 @@ def _cmd_solve(args) -> int:
     if status is not None:
         return status
     if args.opt:
-        sets = optimal_answer_sets(ground, brute_force_limit=args.brute_force_limit)
+        sets = optimal_answer_sets(ground)
     else:
-        sets = answer_sets(ground, brute_force_limit=args.brute_force_limit)
+        sets = answer_sets(ground)
     shown = sets if args.models == 0 else sets[: args.models]
     for interpretation in shown:
         print(format_interpretation(interpretation))
@@ -200,14 +199,12 @@ def _cmd_query(args) -> int:
         print("error: program contains no query", file=sys.stderr)
         return USAGE_ERROR
     core = desugar(program)
-    status = _analysis_gate(core)
+    status = _analysis_gate(check_program(core))
     if status != 0:
         return status
     bounds = UniverseBounds(max_int=args.max_int, max_nesting=args.max_nesting)
     ground = ground_program(core, bounds=bounds, naive=args.naive)
-    answer = answer_query(
-        ground, core.query, brute_force_limit=args.brute_force_limit
-    )
+    answer = answer_query(ground, core.query)
     if answer.status == "inconsistent":
         print("INCONSISTENT")
     elif answer.status == "true":
@@ -255,18 +252,6 @@ def _add_ground_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--brute-force-limit",
-        type=_nonnegative,
-        default=24,
-        metavar="K",
-        help="most atoms a minimality sweep may range over: the atoms of a "
-        "model of a program with a head cycle or an aggregate in a rule with "
-        "a head",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="aspcore2",
@@ -311,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd = subparsers.add_parser("solve", help="compute answer sets")
     _add_input(solve_cmd)
     _add_ground_flags(solve_cmd)
-    _add_solve_flags(solve_cmd)
     solve_cmd.add_argument(
         "--models",
         type=_nonnegative,
@@ -329,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd = subparsers.add_parser("query", help="answer the program's query")
     _add_input(query_cmd)
     _add_ground_flags(query_cmd)
-    _add_solve_flags(query_cmd)
     query_cmd.set_defaults(func=_cmd_query)
 
     return parser

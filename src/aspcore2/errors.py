@@ -35,5 +35,4 @@ class BoundExceeded(AspCoreError):
 
 
 class CapacityExceeded(AspCoreError):
-    """Solving ran out of a bound: the search's node budget, or the
-    brute-force limit on the atoms an exhaustive sweep ranges over."""
+    """Solving ran out of a bound: the search's node budget."""

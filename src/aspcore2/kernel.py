@@ -3,15 +3,18 @@
 A partial assignment is two masks, the atoms true and the atoms false.
 Each node propagates to a fixpoint with `_fold._Fixpoint` in its search
 mode, then branches on the lowest open atom. A total assignment that
-propagation leaves without a conflict is a model; it is an answer set when
-it is minimal for its reduct:
+propagation leaves without a conflict is a model M; it is an answer set
+when no proper subset of M is a model of its reduct, the rules whose
+bodies M satisfies. Minimality is decided exactly for every model:
 
-- exactly, when the arrays are head-cycle-free and no rule with a head has
-  an aggregate: the model must be the least model of its shifted reduct,
-  `h :- B+` for each rule whose body it satisfies and whose head it meets in
-  `h` alone (Ben-Eliyahu & Dechter 1994);
-- otherwise by a sweep over its submasks, over at most `brute_force_limit`
-  atoms and `SWEEP_BUDGET` submasks.
+- when the arrays are `stratified`, M must be the least model of its
+  shifted reduct, `h :- B+` for each rule of the reduct whose head meets M
+  in `h` alone. Each aggregate reads only atoms of lower components, so it
+  keeps its truth in every model of the reduct inside M (splitting,
+  Lifschitz & Turner 1994; shifting, Ben-Eliyahu & Dechter 1994);
+- otherwise a second search, with the same propagation over the atoms of
+  M, looks for a model of the reduct that leaves one of them out (the
+  model check of Koch, Leone & Pfeifer, AIJ 2003).
 
 References: Gebser, Kaufmann & Schaub, AIJ 2012; Simons, Niemela &
 Soininen, AIJ 2002.
@@ -19,7 +22,7 @@ Soininen, AIJ 2002.
 
 from __future__ import annotations
 
-from ._fold import _bits, _body_true, _Fixpoint, _minimal, _single_bit
+from ._fold import _bits, _body_true, _Fixpoint, _single_bit
 from .analysis import DependencyGraph
 from .errors import CapacityExceeded
 
@@ -33,15 +36,10 @@ def compiled_available() -> bool:
 
 
 # The search nodes (assignments propagated after a branch) one call may
-# spend before it ends in CapacityExceeded. A node costs 20-60 us on a
-# 2-vCPU Intel Xeon, so the budget runs out after 6-18 s; 10-queens takes
-# 79k nodes.
+# spend, minimality searches included, before it ends in CapacityExceeded.
+# A node costs 20-60 us on a 2-vCPU Intel Xeon, so the budget runs out
+# after 6-18 s; 10-queens takes 79k nodes.
 NODE_BUDGET = 300_000
-
-# The submasks one minimality sweep may try before the search ends in
-# CapacityExceeded. 2^20 take about 3 s end to end on a 2-vCPU Intel Xeon,
-# and every model of up to 20 atoms is swept to the end within them.
-SWEEP_BUDGET = 1 << 20
 
 
 class SearchExhausted(CapacityExceeded):
@@ -53,30 +51,77 @@ class SearchExhausted(CapacityExceeded):
         self.atoms = atoms
 
 
-def head_cycle_free(rules) -> bool:
-    """No two atoms of one head share a strongly connected component of the
-    positive dependency graph (body atom -> head atom)."""
-    edges = frozenset(
-        (b, h) for head, pos, *_ in rules for b in _bits(pos) for h in _bits(head)
-    )
+def stratified(engine: _Fixpoint) -> bool:
+    """Whether the least model of the shifted reduct decides minimality.
+
+    Over the edges body atom -> head atom and aggregate condition atom ->
+    head atom, no two atoms of one head may share a strongly connected
+    component, and no condition atom may share one with a head atom of its
+    rule. A checked program has no recursion through aggregates, so only a
+    head cycle fails it.
+    """
+    edges = set()
+    headed = []
+    for head, pos, _neg, indices in engine.rules:
+        if head:
+            condition = 0
+            for index in indices:
+                condition |= engine.agg_atoms[index]
+            headed.append((head, condition))
+            edges.update((b, h) for b in _bits(pos | condition) for h in _bits(head))
     vertices = frozenset(v for edge in edges for v in edge)
     component = {}
-    for number, members in enumerate(DependencyGraph(vertices, edges).components()):
+    for number, members in enumerate(DependencyGraph(vertices, frozenset(edges)).components()):
         for vertex in members:
             component[vertex] = number
-    for head, *_ in rules:
-        numbers = [component[h] for h in _bits(head) if h in component]
-        if len(set(numbers)) < len(numbers):
+    for head, condition in headed:
+        heads = [component[h] for h in _bits(head) if h in component]
+        if len(set(heads)) < len(heads) or any(
+            component[c] in heads for c in _bits(condition)
+        ):
             return False
     return True
 
 
-def _least_model_is(model: int, rules) -> bool:
+def _leaves(engine: _Fixpoint, root, everything: int, spent: list[int]):
+    """The true atoms of each total assignment below `root` that
+    propagation leaves without a conflict, depth first. `spent` counts the
+    nodes of every search of one solve_masks call."""
+    stack = [] if root is None else [root]
+    while stack:
+        true, false = stack.pop()
+        unassigned = everything & ~(true | false)
+        if not unassigned:
+            yield true
+            continue
+        spent[0] += 2
+        if spent[0] > NODE_BUDGET:
+            raise SearchExhausted(
+                f"search spent its budget of {NODE_BUDGET} nodes on "
+                f"{everything.bit_length()} undecided atoms",
+                everything,
+            )
+        atom = unassigned & -unassigned
+        watch = engine.watch[atom.bit_length() - 1]
+        for branch in (
+            engine.propagate(true, false | atom, watch, 0),
+            engine.propagate(true | atom, false, watch, 0),
+        ):
+            if branch is not None:
+                stack.append(branch)
+
+
+def _least_model_is(model: int, flat) -> bool:
     """Whether `model` is the least model of its shifted reduct."""
+    _, _, rules, *arrays = flat
+    # `_body_true` only for rules with aggregates: a call for every rule
+    # slowed small searches by a fifth
     shifted = [
         (head & model, pos)
-        for head, pos, neg, _, _ in rules
-        if _single_bit(head & model) and not (pos & ~model or neg & model)
+        for head, pos, neg, start, count in rules
+        if _single_bit(head & model)
+        and not (pos & ~model or neg & model)
+        and (not count or _body_true(model, (head, pos, neg, start, count), *arrays))
     ]
     derived = 0
     changed = True
@@ -89,61 +134,35 @@ def _least_model_is(model: int, rules) -> bool:
     return derived == model
 
 
-def solve_masks(flat, *, brute_force_limit: int = 24) -> list[int]:
+def _smaller_model(model: int, flat, spent: list[int]) -> bool:
+    """Whether a proper subset of `model` is a model of its reduct.
+
+    The search runs over the reduct's rules with the atoms outside `model`
+    false, a rule `j :- j` for each atom j of `model` so that support never
+    prunes, and the constraint `:- model`.
+    """
+    size, _, rules, *arrays = flat
+    kept = tuple(rule for rule in rules if _body_true(model, rule, *arrays))
+    loops = tuple((1 << j, 1 << j, 0, 0, 0) for j in _bits(model))
+    engine = _Fixpoint((size, (model,), kept + loops, *arrays), search=True)
+    everything = (1 << size) - 1
+    root = engine.propagate(0, everything & ~model, (1 << len(engine.rules)) - 1, model)
+    return next(_leaves(engine, root, everything, spent), None) is not None
+
+
+def solve_masks(flat) -> list[int]:
     """All answer-set bitmasks of the folded arrays, ascending.
 
-    Raises SearchExhausted after NODE_BUDGET nodes, or at a model whose
-    minimality needs a sweep over more than `brute_force_limit` atoms or
-    more than SWEEP_BUDGET submasks.
+    Raises SearchExhausted once the search and its minimality searches
+    have spent NODE_BUDGET nodes together.
     """
-    size, _conflicts, rules, agg_index, aggs, tuples, conds = flat
     engine = _Fixpoint(flat, search=True)
-    everything = (1 << size) - 1
-    exact = head_cycle_free(rules) and not any(
-        head and count for head, _, _, _, count in rules
-    )
+    everything = (1 << flat[0]) - 1
+    exact = stratified(engine)
+    spent = [0]
     root = engine.propagate(0, 0, (1 << len(engine.rules)) - 1, everything)
-    stack = [] if root is None else [root]
-    results: list[int] = []
-    nodes = 0
-    while stack:
-        true, false = stack.pop()
-        unassigned = everything & ~(true | false)
-        if unassigned:
-            nodes += 2
-            if nodes > NODE_BUDGET:
-                raise SearchExhausted(
-                    f"search spent its budget of {NODE_BUDGET} nodes on "
-                    f"{size} undecided atoms",
-                    everything,
-                )
-            atom = unassigned & -unassigned
-            watch = engine.watch[atom.bit_length() - 1]
-            for branch in (
-                engine.propagate(true, false | atom, watch, 0),
-                engine.propagate(true | atom, false, watch, 0),
-            ):
-                if branch is not None:
-                    stack.append(branch)
-        elif exact:
-            if _least_model_is(true, rules):
-                results.append(true)
-        else:
-            width = bin(true).count("1")
-            if width > brute_force_limit:
-                raise SearchExhausted(
-                    f"a model has {width} atoms to sweep for minimality, above "
-                    f"the brute-force limit {brute_force_limit}",
-                    true,
-                )
-            kept = [r for r in rules if _body_true(true, r, agg_index, aggs, tuples, conds)]
-            minimal = _minimal(true, kept, agg_index, aggs, tuples, conds, SWEEP_BUDGET)
-            if minimal is None:
-                raise SearchExhausted(
-                    f"a model has {width} atoms to sweep for minimality, and the "
-                    f"sweep spent its budget of {SWEEP_BUDGET} submasks",
-                    true,
-                )
-            if minimal:
-                results.append(true)
-    return sorted(results)
+    return sorted(
+        model
+        for model in _leaves(engine, root, everything, spent)
+        if (_least_model_is(model, flat) if exact else not _smaller_model(model, flat, spent))
+    )

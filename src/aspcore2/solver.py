@@ -4,11 +4,12 @@ programs.
 The reference operations (literal satisfaction, models, reducts) work
 directly on atom sets. Enumeration packs the ground program, fixes the
 atoms the facts decide (`_fold`), and searches the open atoms (`kernel`).
-Every emitted answer set is re-checked against the reference operations
-on the unsimplified ground program: consistency and modelhood always,
-minimality by the shifted reduct at any size, and by a submask sweep of up
-to 12 atoms where the reduct has a head cycle or an aggregate in a rule
-with a head.
+The search decides minimality exactly for every model. Every emitted
+answer set is re-checked against the reference operations on the
+unsimplified ground program: consistency and modelhood always, minimality
+by the shifted reduct at any size when no aggregate reads an atom of its
+own rule's head component, and by a submask sweep of up to 12 atoms where
+that fails or a head cycle leaves the shifted reduct undecided.
 """
 
 from __future__ import annotations
@@ -210,17 +211,74 @@ def _least_model(rules: list[tuple[ClassicalAtom, frozenset[ClassicalAtom]]]) ->
     return derived
 
 
-def _head_cycle_free(
-    rules: list[tuple[frozenset[ClassicalAtom], frozenset[ClassicalAtom]]]
-) -> bool:
-    """No two atoms of one head share a strongly connected component of the
-    positive dependency graph (body atom -> head atom)."""
+def _minimal_by_shifting(
+    red: GroundProgram, interpretation: Interpretation
+) -> Optional[bool]:
+    """Whether a model is minimal for its reduct, decided by shifting; None
+    when this check cannot decide.
+
+    Inside the model, a kept rule acts as `H & I :- B`. Take the strongly
+    connected components over the edges body atom -> head atom and
+    aggregate condition atom -> head atom of these rules. When no condition
+    atom shares a component with a head atom of its rule, each aggregate
+    reads only atoms below its head, and the naf literals stay true, in
+    every model of the reduct inside the interpretation (Lifschitz & Turner
+    1994). The model is then minimal if it is the least model of the
+    shifted reduct, `h :- B+` for each kept rule whose head meets it in `h`
+    alone. If it is not, it is not minimal when also no two atoms of one
+    head share a component (Ben-Eliyahu & Dechter 1994), and the check
+    cannot tell otherwise.
+    """
+    rules = []
+    for rule in red.rules:
+        body = frozenset(
+            l.atom
+            for l in rule.body
+            if not l.naf and isinstance(l.atom, ClassicalAtom)
+        )
+        conditions = frozenset(
+            c.atom
+            for l in rule.body
+            if isinstance(l, AggregateLiteral)
+            for element in l.atom.elements
+            for c in element.condition
+            if isinstance(c.atom, ClassicalAtom)
+        )
+        rules.append((frozenset(rule.head) & interpretation, body, conditions))
+    # the components are built only when needed: most reducts have no
+    # aggregate, and most answer sets are the least model
+    component = None
+    if any(conditions for _, _, conditions in rules):
+        component = _components(rules)
+        if any(
+            component[atom] in {component[h] for h in head}
+            for head, _, conditions in rules
+            for atom in conditions
+        ):
+            return None
+    shifted = [(next(iter(head)), body) for head, body, _ in rules if len(head) == 1]
+    if _least_model(shifted) == interpretation:
+        return True
+    if component is None:
+        component = _components(rules)
+    if any(len({component[h] for h in head}) < len(head) for head, _, _ in rules):
+        return None
+    return False
+
+
+def _components(rules) -> dict[ClassicalAtom, int]:
+    """The strongly connected component of each atom of `rules`, given as
+    (head, positive body, condition atoms), over the edges body atom ->
+    head atom and condition atom -> head atom."""
     ids: dict[ClassicalAtom, int] = {}
-    for head, body in rules:
-        for atom in head | body:
+    for head, body, conditions in rules:
+        for atom in head | body | conditions:
             ids.setdefault(atom, len(ids))
     edges = frozenset(
-        (ids[b], ids[h]) for head, body in rules for b in body for h in head
+        (ids[b], ids[h])
+        for head, body, conditions in rules
+        for b in body | conditions
+        for h in head
     )
     component = {}
     for number, members in enumerate(
@@ -228,48 +286,14 @@ def _head_cycle_free(
     ):
         for vertex in members:
             component[vertex] = number
-    for head, _body in rules:
-        numbers = [component[ids[atom]] for atom in head]
-        if len(set(numbers)) < len(numbers):
-            return False
-    return True
-
-
-def _minimal_by_shifting(
-    red: GroundProgram, interpretation: Interpretation
-) -> Optional[bool]:
-    """Whether a model is minimal for its reduct, decided without a submask
-    sweep; None when this check cannot decide.
-
-    Inside the model, a kept rule without aggregates acts as `H & I :- B+`:
-    its naf literals stay true. If the model is the least model of the
-    shifted reduct, `h :- B+` for each kept rule whose head meets the model
-    in `h` alone, every model of the reduct inside it contains that least
-    model, so it is minimal. If not, it is not minimal when the reduct is
-    head-cycle-free (Ben-Eliyahu & Dechter 1994), and the check cannot tell
-    otherwise.
-    """
-    positive = []
-    for rule in red.rules:
-        if any(isinstance(l, AggregateLiteral) for l in rule.body):
-            return None
-        body = frozenset(
-            l.atom
-            for l in rule.body
-            if not l.naf and isinstance(l.atom, ClassicalAtom)
-        )
-        positive.append((frozenset(rule.head) & interpretation, body))
-    shifted = [(next(iter(head)), body) for head, body in positive if len(head) == 1]
-    if _least_model(shifted) == interpretation:
-        return True
-    return False if _head_cycle_free(positive) else None
+    return {atom: component[i] for atom, i in ids.items()}
 
 
 def _verify_answer_set(
     ground_program: GroundProgram, interpretation: Interpretation
 ) -> None:
     """Post-hoc reference check of one emitted answer set. Minimality stays
-    unchecked above 12 atoms when the shifted reduct cannot decide it."""
+    unchecked above 12 atoms when shifting cannot decide it."""
     if not _is_consistent(interpretation):
         raise RuntimeError("internal error: inconsistent answer set emitted")
     if not is_model(ground_program, interpretation):
@@ -304,7 +328,7 @@ def _largest_predicates(atoms: Iterable[ClassicalAtom]) -> str:
 def answer_sets(
     ground_program: GroundProgram,
     *,
-    brute_force_limit: int = 24,
+    brute_force_limit: object = None,
     project: bool = True,
     verify: bool = True,
 ) -> tuple[Interpretation, ...]:
@@ -312,17 +336,19 @@ def answer_sets(
 
     Packs the ground program over its derivable head atoms, fixes the atoms
     the facts decide and folds them out (`_fold`), and searches the open
-    atoms for the minimal models of their own reducts (`kernel`).
-    CapacityExceeded ends a search that spends `kernel.NODE_BUDGET` nodes,
-    or that reaches a model whose minimality needs a submask sweep over
-    more than `brute_force_limit` atoms or `kernel.SWEEP_BUDGET` submasks.
-    Each result is re-checked against the reference operations on
-    `ground_program` (see `_verify_answer_set`).
+    atoms for the minimal models of their own reducts (`kernel`), deciding
+    minimality exactly for every model. CapacityExceeded ends a search that
+    spends `kernel.NODE_BUDGET` nodes. Each result is re-checked against
+    the reference operations on `ground_program` (see
+    `_verify_answer_set`).
+
+    Nothing reads `brute_force_limit`; it is accepted only because
+    `perfbench/worker.py` still passes it, and goes when perfbench stops passing it.
     """
     packed = pack_program(ground_program)
     folded = fold_fixed(packed.flat())
     try:
-        masks = _kernel.solve_masks(folded.flat, brute_force_limit=brute_force_limit)
+        masks = _kernel.solve_masks(folded.flat)
     except _kernel.SearchExhausted as error:
         named = [
             packed.atoms[bit]
@@ -385,29 +411,10 @@ def weak_cost(
     return costs
 
 
-def dominates(
-    costs_a: dict[Union[int, Term], int], costs_b: dict[Union[int, Term], int]
-) -> bool:
-    """Whether cost vector a is strictly better: smaller at some integer
-    level and equal at every higher integer level."""
-    levels = sorted(
-        {l for l in costs_a if isinstance(l, int)}
-        | {l for l in costs_b if isinstance(l, int)},
-        reverse=True,
-    )
-    for level in levels:
-        a, b = costs_a.get(level, 0), costs_b.get(level, 0)
-        if a < b:
-            return True
-        if a > b:
-            return False
-    return False
-
-
 def optimal_answer_sets(
     ground_program: GroundProgram,
     *,
-    brute_force_limit: int = 24,
+    brute_force_limit: object = None,
 ) -> tuple[Interpretation, ...]:
     """The answer sets not dominated by any other answer set, in the order
     of `answer_sets`.
@@ -415,8 +422,9 @@ def optimal_answer_sets(
     Domination compares costs lexicographically over the integer levels,
     a missing level counting as 0, so the non-dominated sets are those whose
     costs over the union of all integer levels form the least key.
+    Nothing reads `brute_force_limit` (see `answer_sets`).
     """
-    sets = answer_sets(ground_program, brute_force_limit=brute_force_limit)
+    sets = answer_sets(ground_program)
     costs = [weak_cost(ground_program, i) for i in sets]
     levels = sorted({l for c in costs for l in c if isinstance(l, int)}, reverse=True)
     keys = [tuple(c.get(level, 0) for level in levels) for c in costs]
@@ -446,10 +454,11 @@ def answer_query(
     ground_program: GroundProgram,
     query: Query,
     *,
-    brute_force_limit: int = 24,
+    brute_force_limit: object = None,
 ) -> QueryAnswer:
-    """Cautious answering: true in every answer set."""
-    sets = answer_sets(ground_program, brute_force_limit=brute_force_limit)
+    """Cautious answering: true in every answer set. Nothing reads
+    `brute_force_limit` (see `answer_sets`)."""
+    sets = answer_sets(ground_program)
     if not sets:
         return QueryAnswer("inconsistent")
     atom = query.atom

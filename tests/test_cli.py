@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from aspcore2 import kernel
 from aspcore2.cli import main
 
 
@@ -289,17 +290,27 @@ def test_solve_models_limit(capsys, tmp_path):
     assert len(out.splitlines()) == 4
 
 
-def test_solve_capacity_exits_4(capsys, tmp_path):
-    # one model of 6 atoms with head cycles: its sweep exceeds the limit
+def test_solve_capacity_exits_4(capsys, tmp_path, monkeypatch):
+    # one model of 6 atoms with head cycles: the search for a smaller model
+    # of its reduct runs out of nodes
     path = source(tmp_path, "a | b. a :- b. b :- a. c | d. c :- d. d :- c. e | f. e :- f. f :- e.")
-    code, _out, err = run(capsys, "solve", "--brute-force-limit", "4", path)
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 8)
+    code, out, err = run(capsys, "solve", path)
     assert code == 4
-    assert "brute-force limit" in err
+    assert out == ""
+    assert "budget of 8 nodes on 6 undecided atoms" in err
 
 
-def test_sweep_over_its_budget_exits_4(tmp_path):
-    # one 24-atom model with head cycles, within the default brute-force
-    # limit: its sweep of 2^24 submasks took 43 s before kernel.SWEEP_BUDGET
+def test_brute_force_limit_is_a_usage_error(capsys, tmp_path):
+    path = source(tmp_path, "a | b. a :- b. b :- a.")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--brute-force-limit", "4", path])
+    assert excinfo.value.code == 64
+
+
+def test_head_cycle_pairs_solve_from_the_command_line(tmp_path):
+    # one 24-atom model with head cycles, whose minimality the search for a
+    # smaller model of its reduct decides in a few milliseconds
     path = source(tmp_path, " ".join(
         f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(12)
     ))
@@ -309,9 +320,8 @@ def test_sweep_over_its_budget_exits_4(tmp_path):
         capture_output=True, text=True, timeout=30,
     )
     assert time.perf_counter() - start < 15
-    assert done.returncode == 4
-    assert done.stdout == ""
-    assert "24 atoms to sweep" in done.stderr and "budget of 1048576 submasks" in done.stderr
+    assert done.returncode == 0
+    assert done.stdout.count(",") == 23 and done.stderr == ""
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):

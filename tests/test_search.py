@@ -6,15 +6,15 @@ import time
 import pytest
 
 from aspcore2 import kernel
-from aspcore2._fold import fold_fixed
+from aspcore2._fold import _Fixpoint, fold_fixed
 from aspcore2._packed import pack_program
 from aspcore2.errors import CapacityExceeded
-from aspcore2.ground import UniverseBounds, ground_program
+from aspcore2.ground import GroundProgram, UniverseBounds, ground_program
 from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
 from aspcore2.solver import answer_sets
-from aspcore2.syntax import ClassicalAtom
-from generators import random_ground_program, random_query_program
+from aspcore2.syntax import ClassicalAtom, IntegerConstant, NafLiteral, Rule, SymbolicConstant
+from generators import _random_aggregate, random_ground_program, random_query_program
 from oracles import oracle_answer_sets
 
 
@@ -93,11 +93,36 @@ def test_unsupported_positive_loop_stays_out():
     assert set(got) == {frozenset(), frozenset({a, p, q})}
 
 
-def test_head_cycle_goes_through_the_sweep():
-    flat = fold_fixed(pack_program(ground("a | b. a :- b. b :- a.")).flat()).flat
-    assert not kernel.head_cycle_free(flat[2])
+def folded_engine(program):
+    return _Fixpoint(fold_fixed(pack_program(program).flat()).flat, search=True)
+
+
+def test_head_cycle_goes_through_the_smaller_model_search():
+    assert not kernel.stratified(folded_engine(ground("a | b. a :- b. b :- a.")))
     (model,) = answer_sets(ground("a | b. a :- b. b :- a."))
     assert model == {ClassicalAtom("a"), ClassicalAtom("b")}
+
+
+def test_aggregate_over_its_own_head_has_no_answer_set():
+    # {a, b} is a model, and {a} is a smaller model of its reduct that no
+    # rule supports: a search that lets support prune, or a stratification
+    # that lets a condition atom share its head's component, emits {a, b}
+    program = ground("b :- #count{1:a; 2:b} != 1. a :- b.")
+    assert not kernel.stratified(folded_engine(program))
+    assert kernel.solve_masks(pack_program(program).flat()) == []
+    assert answer_sets(program) == ()
+    assert oracle_answer_sets(program.rules) == set()
+
+
+def test_aggregate_that_its_head_supports_does_not_support_the_head():
+    # the condition atom a lies in b's component only through the edge
+    # a -> b: without it, {a, b} passes as the least model of its shifted
+    # reduct, though {} is a smaller model of the reduct
+    program = ground("b :- #count{1:a} >= 1. a :- b.")
+    assert not kernel.stratified(folded_engine(program))
+    assert kernel.solve_masks(pack_program(program).flat()) == [0]
+    assert answer_sets(program) == (frozenset(),)
+    assert oracle_answer_sets(program.rules) == {frozenset()}
 
 
 @pytest.mark.parametrize(
@@ -127,40 +152,101 @@ def test_sum_beyond_machine_words():
 
 
 def head_cycle_pairs(n):
-    # one answer set, all 2n atoms, reached only through the sweep
+    # one answer set, all 2n atoms, minimal only by the smaller-model search
     return " ".join(f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(n))
 
 
-def test_limit_bounds_the_sweep_of_a_model():
+def test_node_budget_bounds_the_smaller_model_search(monkeypatch):
+    # three pairs: the search spends 6 nodes to reach the one model, and
+    # the search for a smaller model of its reduct 6 more
     text = head_cycle_pairs(3)
-    (model,) = answer_sets(ground(text), brute_force_limit=6)
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 12)
+    (model,) = answer_sets(ground(text))
     assert len(model) == 6
-    with pytest.raises(CapacityExceeded, match="6 atoms to sweep .* brute-force limit 5"):
-        answer_sets(ground(text), brute_force_limit=5)
-
-
-def test_sweep_budget_covers_a_model_of_20_atoms():
-    # 2^20 - 1 proper submasks, within kernel.SWEEP_BUDGET: about 3 s
-    (model,) = answer_sets(ground(head_cycle_pairs(10)))
-    assert len(model) == 20
-
-
-def test_sweep_budget_ends_in_capacity_exceeded(monkeypatch):
-    monkeypatch.setattr(kernel, "SWEEP_BUDGET", 100)
-    (model,) = answer_sets(ground(head_cycle_pairs(3)))  # 63 submasks
-    assert len(model) == 6
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 11)
     with pytest.raises(CapacityExceeded) as caught:
-        answer_sets(ground(head_cycle_pairs(4)))  # 255 submasks
+        answer_sets(ground(text))
     assert str(caught.value) == (
-        "a model has 8 atoms to sweep for minimality, and the sweep spent its "
-        "budget of 100 submasks; most atoms: a0/0 (1), a1/0 (1), a2/0 (1) "
-        "and 5 more predicates"
+        "search spent its budget of 11 nodes on 6 undecided atoms; "
+        "most atoms: a0/0 (1), a1/0 (1), a2/0 (1) and 3 more predicates"
     )
 
 
-def test_head_cycle_free_program_needs_no_sweep():
-    # every model of a head-cycle-free program is checked exactly
-    assert len(answer_sets(ground(colouring(3, 6)), brute_force_limit=0)) == 66
+def test_head_cycle_pairs_are_decided_in_under_a_second():
+    start = time.perf_counter()
+    (model,) = answer_sets(ground(head_cycle_pairs(12)))
+    assert time.perf_counter() - start < 1
+    assert len(model) == 24
+
+
+def test_head_cycle_free_program_needs_no_sweep(monkeypatch):
+    # every model of a head-cycle-free program is decided by its shifted
+    # reduct, without a search for a smaller model
+    monkeypatch.setattr(kernel, "_smaller_model", None)
+    assert kernel.stratified(folded_engine(ground(colouring(3, 6))))
+    assert len(answer_sets(ground(colouring(3, 6)))) == 66
+
+
+def test_aggregate_rule_adds_many_to_the_colourings():
+    red = [ClassicalAtom("colour", (IntegerConstant(i), SymbolicConstant("r"))) for i in range(1, 9)]
+    many = ClassicalAtom("many")
+    plain = answer_sets(ground(colouring(3, 8)))
+    got = answer_sets(ground(colouring(3, 8) + " many :- #count{X : colour(X,r)} >= 2."))
+    assert len(got) == 258
+    assert set(got) == {s | {many} if sum(a in s for a in red) >= 2 else s for s in plain}
+
+
+def test_aggregate_rule_adds_full_to_the_queens():
+    full = ClassicalAtom("full")
+    got = answer_sets(ground(queens(8) + " full :- #count{X,Y : q(X,Y)} >= 1."))
+    assert len(got) == 92
+    assert all(full in s for s in got)
+
+
+def layered_program(rng):
+    """A ground program whose rules with a head aggregate only over a lower
+    layer of atoms, which no such rule defines in terms of the upper layer.
+    A head cycle in the upper layer sends a program to the smaller-model
+    search."""
+    lower = [ClassicalAtom(name) for name in "abcd"[: rng.randint(2, 4)]]
+    upper = [ClassicalAtom(name) for name in "pqr"[: rng.randint(1, 3)]]
+    cycle = []
+    if len(upper) > 1 and rng.random() < 0.3:
+        x, y = rng.sample(upper, 2)
+        cycle = [Rule((x, y), ()), Rule((x,), (NafLiteral(y),)), Rule((y,), (NafLiteral(x),))]
+
+    def rules(heads, atoms, aggregates_over, count):
+        out = []
+        for _ in range(count):
+            head = tuple(rng.choice(heads) for _ in range(rng.choices([0, 1, 2], [1, 5, 2])[0]))
+            body = [
+                NafLiteral(rng.choice(atoms), naf=rng.random() < 0.35)
+                for _ in range(rng.randint(0, 2))
+            ]
+            if aggregates_over and rng.random() < 0.6:
+                body.append(_random_aggregate(rng, aggregates_over if head else atoms))
+            if head or body:
+                out.append(Rule(head, tuple(body)))
+        return out
+
+    return cycle + rules(lower, lower, None, rng.randint(2, 4)) + rules(
+        upper, lower + upper, lower, rng.randint(2, 5)
+    )
+
+
+def test_layered_aggregates_match_the_oracle():
+    rng = random.Random(53)
+    stratified = searched = 0
+    for _ in range(2000):
+        rules = layered_program(rng)
+        program = GroundProgram(tuple(rules))
+        if kernel.stratified(folded_engine(program)):
+            stratified += 1
+        else:
+            searched += 1
+        got = {frozenset(s) for s in answer_sets(program, project=False)}
+        assert got == oracle_answer_sets(rules)
+    assert stratified > 1000 and searched > 100
 
 
 def test_node_budget_ends_in_capacity_exceeded(monkeypatch):

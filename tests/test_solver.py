@@ -15,7 +15,6 @@ from aspcore2.solver import (
     QueryAnswer,
     answer_query,
     answer_sets,
-    dominates,
     eval_aggregate,
     is_model,
     optimal_answer_sets,
@@ -249,11 +248,13 @@ def test_results_are_sorted_and_deduplicated():
     assert len(set(models)) == len(models)
 
 
-def test_capacity_limit_raises():
-    # one model of 26 atoms with head cycles: its sweep exceeds the limit
+def test_capacity_limit_raises(monkeypatch):
+    # one model of 26 atoms with head cycles, reached in 26 nodes: the
+    # search for a smaller model of its reduct spends the rest
     text = " ".join(f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(13))
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 40)
     with pytest.raises(CapacityExceeded):
-        answer_sets(ground(text), brute_force_limit=24)
+        answer_sets(ground(text))
     assert len(answer_sets(ground(text[: text.index(".") + 1]))) == 2
 
 
@@ -272,10 +273,11 @@ def test_capacity_error_names_the_largest_predicates(monkeypatch):
     )
 
 
-def test_capacity_error_counts_the_predicates_not_shown():
+def test_capacity_error_counts_the_predicates_not_shown(monkeypatch):
     text = "a | b. a :- b. b :- a. c | d. c :- d. d :- c. -e | f. -e :- f. f :- -e."
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 0)
     with pytest.raises(CapacityExceeded) as caught:
-        answer_sets(ground(text), brute_force_limit=4)
+        answer_sets(ground(text))
     assert str(caught.value).endswith("most atoms: -e/0 (1), a/0 (1), b/0 (1) and 3 more predicates")
 
 
@@ -300,10 +302,11 @@ def test_fixing_keeps_the_answer_sets(text):
     assert got == oracle_answer_sets(program.rules)
 
 
-def test_program_decided_by_its_facts_needs_no_enumeration():
+def test_program_decided_by_its_facts_needs_no_enumeration(monkeypatch):
     edges = " ".join(f"edge({i},{i + 1})." for i in range(7))
     text = edges + " reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z)."
-    (model,) = answer_sets(ground(text), brute_force_limit=0)
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 0)
+    (model,) = answer_sets(ground(text))
     assert len(model) == 7 + 28
 
 
@@ -314,9 +317,31 @@ def test_program_decided_by_its_facts_needs_no_enumeration():
 def test_verification_rejects_a_large_non_minimal_set(monkeypatch):
     facts = " ".join(f"f{i}." for i in range(13))
     program = ground(facts + " p | q.")
-    monkeypatch.setattr(
-        kernel, "solve_masks", lambda flat, brute_force_limit: [(1 << flat[0]) - 1]
-    )
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat: [(1 << flat[0]) - 1])
+    with pytest.raises(RuntimeError, match="not minimal"):
+        answer_sets(program)
+
+
+def test_verification_rejects_a_large_non_minimal_set_with_an_aggregate(monkeypatch):
+    # 16 atoms and an aggregate in a rule with a head: the reduct is
+    # stratified, so shifting refuses the set at any size
+    facts = " ".join(f"f({i})." for i in range(13))
+    program = ground(facts + " p | q. h :- #count{X : f(X)} >= 1.", max_int=20)
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat: [(1 << flat[0]) - 1])
+    with pytest.raises(RuntimeError, match="not minimal"):
+        answer_sets(program)
+    assert len(answer_sets(program, verify=False)[0]) == 16
+
+
+@pytest.mark.parametrize(
+    "text", ["b :- #count{1:a; 2:b} != 1. a :- b.", "b :- #count{1:a} >= 1. a :- b."]
+)
+def test_verification_rejects_a_non_minimal_set_of_a_recursive_aggregate(monkeypatch, text):
+    # {a, b} is the least model of its shifted reduct, but the reduct is
+    # not stratified, and {a} or {} is a smaller model of it
+    program = ground(text)
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat: [(1 << flat[0]) - 1])
+    assert answer_sets(program, verify=False) == (frozenset({atom("a"), atom("b")}),)
     with pytest.raises(RuntimeError, match="not minimal"):
         answer_sets(program)
 
@@ -431,12 +456,19 @@ def test_cost_free_weights_are_ignored_with_warning():
 
 
 def test_dominates_is_lexicographic_from_highest_level():
-    assert dominates({0: 1}, {0: 2})
-    assert not dominates({0: 2}, {0: 1})
-    assert not dominates({0: 1}, {0: 1})
-    assert dominates({2: 0, 0: 9}, {2: 1, 0: 0})
-    assert dominates({1: 1}, {1: 2, 0: -5})
-    assert not dominates({1: 1, 0: 0}, {1: 1, 0: 0})
+    # the cost key of optimal_answer_sets: integer levels from the highest
+    # down, a missing level counting as 0; equal keys are all optimal
+    a, b = atom("a"), atom("b")
+    for weak_a, weak_b, optimal in [
+        ("[1@0]", "[2@0]", [{a}]),
+        ("[2@0]", "[1@0]", [{b}]),
+        ("[1@1]", "[1@1]", [{a}, {b}]),
+        ("[0@2] :~ a. [9@0]", "[1@2]", [{a}]),
+        ("[1@1]", "[2@1] :~ b. [-5@0]", [{a}]),
+        ("[1@1] :~ a. [0@0]", "[1@1]", [{a}, {b}]),
+    ]:
+        program = ground(f"a | b. :~ a. {weak_a} :~ b. {weak_b}")
+        assert [set(s) for s in optimal_answer_sets(program)] == optimal
 
 
 def test_optimal_prefers_cheaper_level_zero():
