@@ -156,9 +156,10 @@ def head_cycle_pairs(n):
     return " ".join(f"a{i} | b{i}. a{i} :- b{i}. b{i} :- a{i}." for i in range(n))
 
 
-def test_node_budget_bounds_the_smaller_model_search(monkeypatch):
-    # three pairs: the search spends 6 nodes to reach the one model, and
-    # the search for a smaller model of its reduct 6 more
+def test_limit_bounds_the_sweep_of_a_model(monkeypatch):
+    # the bound on a model's minimality check is NODE_BUDGET: on three
+    # pairs the search spends 6 nodes to reach the one model, and the
+    # search for a smaller model of its reduct 6 more
     text = head_cycle_pairs(3)
     monkeypatch.setattr(kernel, "NODE_BUDGET", 12)
     (model,) = answer_sets(ground(text))
@@ -169,6 +170,20 @@ def test_node_budget_bounds_the_smaller_model_search(monkeypatch):
     assert str(caught.value) == (
         "search spent its budget of 11 nodes on 6 undecided atoms; "
         "most atoms: a0/0 (1), a1/0 (1), a2/0 (1) and 3 more predicates"
+    )
+
+
+def test_sweep_budget_ends_in_capacity_exceeded(monkeypatch):
+    # a budget that covers the minimality check of three pairs ends the
+    # check of four in CapacityExceeded
+    monkeypatch.setattr(kernel, "NODE_BUDGET", 12)
+    (model,) = answer_sets(ground(head_cycle_pairs(3)))
+    assert len(model) == 6
+    with pytest.raises(CapacityExceeded) as caught:
+        answer_sets(ground(head_cycle_pairs(4)))
+    assert str(caught.value) == (
+        "search spent its budget of 12 nodes on 8 undecided atoms; "
+        "most atoms: a0/0 (1), a1/0 (1), a2/0 (1) and 5 more predicates"
     )
 
 
