@@ -14,7 +14,7 @@ from .errors import (
     ParseError,
 )
 from .ground import GroundProgram, UniverseBounds, ground_program
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, Tokens, tokenize
 from .parser import parse_program
 from .rewrite import desugar
 from .solver import (
@@ -45,6 +45,7 @@ __all__ = [
     "QueryAnswer",
     "Token",
     "TokenKind",
+    "Tokens",
     "UniverseBounds",
     "answer_query",
     "answer_sets",

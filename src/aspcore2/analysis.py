@@ -20,6 +20,7 @@ from .syntax import (
     BuiltinAtom,
     ChoiceAtom,
     ClassicalAtom,
+    FunctionalTerm,
     IntegerConstant,
     NafLiteral,
     Program,
@@ -29,11 +30,10 @@ from .syntax import (
     Statement,
     Term,
     WeakConstraint,
+    atom_terms,
     atom_variables,
     is_aux_name,
     iter_element_terms,
-    iter_statement_terms,
-    iter_subterms,
     render_aux_name,
     statement_to_text,
     term_to_text,
@@ -328,39 +328,57 @@ class DependencyGraph:
         return out
 
 
-def _walk(statements: Iterable[Statement]) -> tuple[DependencyGraph, list[tuple]]:
-    """One walk over the classical atoms of desugared statements.
+def _walk(
+    statements: Iterable[Statement],
+) -> tuple[DependencyGraph, list[tuple], list[ArithmeticWarning]]:
+    """One walk over the atoms of desugared statements.
 
-    Returns the dependency graph, and each rule that has both head atoms and
-    aggregate conditions with the signatures of the two, in source order.
+    Returns the dependency graph; each rule that has both head atoms and
+    aggregate conditions with the signatures of the two, in source order;
+    and the arithmetic warnings, in the order of `iter_statement_terms`.
     """
     vertices: set[Signature] = set()
     edges: set[tuple[Signature, Signature]] = set()
     aggregates: list[tuple[Rule, list[Signature], list[Signature]]] = []
+    divisions: list[ArithmeticWarning] = []
     for statement in statements:
         _require_desugared(statement)
         if isinstance(statement, Query):
             vertices.add(atom_signature(statement.atom))
+            _divisions(statement, statement.atom.args, divisions)
             continue
+        head_atoms = statement.head if isinstance(statement, Rule) else ()
+        for atom in head_atoms:
+            _divisions(statement, atom.args, divisions)
         body: list[Signature] = []
         conditions: list[Signature] = []
         for literal in statement.body:
+            atom = literal.atom
             if isinstance(literal, AggregateLiteral):
-                for element in literal.atom.elements:
+                for guard in (atom.left_guard, atom.right_guard):
+                    if guard is not None:
+                        _divisions(statement, (guard.term,), divisions)
+                for element in atom.elements:
+                    _divisions(statement, element.terms, divisions)
                     for cond in element.condition:
                         if isinstance(cond.atom, ClassicalAtom):
                             conditions.append(atom_signature(cond.atom))
-            elif isinstance(literal.atom, ClassicalAtom):
-                body.append(atom_signature(literal.atom))
+                        _divisions(statement, atom_terms(cond.atom), divisions)
+            else:
+                if isinstance(atom, ClassicalAtom):
+                    body.append(atom_signature(atom))
+                _divisions(statement, atom_terms(atom), divisions)
+        if isinstance(statement, WeakConstraint):
+            _divisions(statement, (statement.weight, statement.level, *statement.terms), divisions)
         vertices.update(body, conditions)
-        if isinstance(statement, Rule) and statement.head:
-            heads = [atom_signature(a) for a in statement.head]
+        if head_atoms:
+            heads = [atom_signature(a) for a in head_atoms]
             vertices.update(heads)
             for head in heads:
                 edges.update((head, sig) for sig in chain(heads, body, conditions))
             if conditions:
                 aggregates.append((statement, heads, conditions))
-    return DependencyGraph(frozenset(vertices), frozenset(edges)), aggregates
+    return DependencyGraph(frozenset(vertices), frozenset(edges)), aggregates, divisions
 
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
@@ -395,7 +413,7 @@ def rule_text(rule: Rule) -> str:
 
 def check_aggregates_nonrecursive(program: Program) -> list[RecursiveAggregate]:
     """Every atom inside an aggregate must not reach any head atom of its rule."""
-    graph, aggregates = _walk(program.rules)
+    graph, aggregates, _ = _walk(program.rules)
     return _recursive_aggregates(aggregates, graph)
 
 
@@ -473,19 +491,21 @@ def _is_nonzero_integer_constant(term: Term) -> bool:
     return False
 
 
+def _divisions(statement: Statement, terms: Iterable[Term], out: list[ArithmeticWarning]) -> None:
+    """Append a warning for each division in `terms` whose divisor is not a
+    nonzero integer constant, each term before its subterms."""
+    for term in terms:
+        if isinstance(term, ArithmeticTerm):
+            if term.op is ArithOp.DIV and not _is_nonzero_integer_constant(term.args[1]):
+                out.append(ArithmeticWarning(statement, term))
+            _divisions(statement, term.args, out)
+        elif isinstance(term, FunctionalTerm):
+            _divisions(statement, term.args, out)
+
+
 def lint_undefined_arithmetic(program: Program) -> list[ArithmeticWarning]:
     """Warn on any division whose divisor is not a nonzero integer constant."""
-    warnings: list[ArithmeticWarning] = []
-    for statement in program.statements():
-        for top in iter_statement_terms(statement):
-            for sub in iter_subterms(top):
-                if (
-                    isinstance(sub, ArithmeticTerm)
-                    and sub.op is ArithOp.DIV
-                    and not _is_nonzero_integer_constant(sub.args[1])
-                ):
-                    warnings.append(ArithmeticWarning(statement, sub))
-    return warnings
+    return _walk(program.statements())[2]
 
 
 # --------------------------------------------------------------------------
@@ -518,11 +538,11 @@ class AnalysisResult:
 def check_program(program: Program) -> AnalysisResult:
     """Run every restriction check and lint on a desugared program."""
     statements = program.statements()
-    graph, aggregates = _walk(statements)
+    graph, aggregates, divisions = _walk(statements)
     return AnalysisResult(
         tuple(check_safety(s) for s in statements),
         tuple(_recursive_aggregates(aggregates, graph)),
         tuple(_arities(graph.vertices)),
-        tuple(lint_undefined_arithmetic(program)),
+        tuple(divisions),
         graph,
     )

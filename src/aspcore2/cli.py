@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .analysis import AnalysisResult, check_program, signature_to_text
 from .errors import AspCoreError, BoundExceeded, CapacityExceeded, LexError, ParseError
 from .ground import GroundProgram, UniverseBounds, ground_program
-from .lexer import TokenKind, tokenize
+from .lexer import tokenize
 from .parser import parse_program
 from .rewrite import desugar
 from .solver import (
@@ -131,10 +131,11 @@ def _ground_from_args(args) -> tuple[Program, Optional[int], Optional[GroundProg
 def _cmd_parse(args) -> int:
     text = _read_input(args.path)
     if args.dump_tokens:
-        for token in tokenize(text):
-            if token.kind is TokenKind.EOF:
-                continue
-            print(f'{token.kind.name} "{token.text}" {token.span.describe()}')
+        tokens = tokenize(text)
+        # zip stops at the end of the shorter kind column, before the EOF marker.
+        columns = zip(tokens.kinds[:-1], tokens.texts, tokens.lines, tokens.columns)
+        for kind, lexeme, line, column in columns:
+            print(f'{kind.name} "{lexeme}" {line}:{column}')
         return 0
     program = parse_program(text)
     if args.ast:

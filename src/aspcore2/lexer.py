@@ -22,12 +22,20 @@ position, with three kinds of exception:
 Comments and blanks are trivia. `scan` keeps them, so that the concatenation
 of all lexemes reproduces the input byte for byte; `tokenize` drops them
 without building a token for them.
+
+The token stream is columnar: `Tokens` holds five parallel lists, the kind,
+text, offset, line and column of each lexeme. The lexer appends only enum
+members, strings and integers to them, which the cyclic garbage collector
+does not track, so lexing a large text allocates no tracked object per token
+and sets off no collection. A `Token` with its `Span` is built only when the
+stream is indexed or iterated; the parser reads the columns directly.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 from .errors import LexError
@@ -74,6 +82,11 @@ class TokenKind(enum.Enum):
     MULTI_LINE_COMMENT = enum.auto()
     BLANK = enum.auto()
     EOF = enum.auto()
+
+    # Members are singletons, equal only to themselves, so the identity hash
+    # agrees with equality; `Enum.__hash__` hashes the name in Python, and
+    # the parser looks kinds up in dicts and sets on every term.
+    __hash__ = object.__hash__
 
 
 TRIVIA = frozenset({TokenKind.COMMENT, TokenKind.MULTI_LINE_COMMENT, TokenKind.BLANK})
@@ -151,8 +164,7 @@ _MASTER = re.compile(
 )
 
 # Per group name: its kind, whether it is trivia, and whether its lexeme may
-# span lines. The loop reads these from one lookup, since hashing an enum
-# member calls `Enum.__hash__`, which is written in Python.
+# span lines, so that the loop reads all three from one lookup.
 _GROUPS = {
     kind.name: (kind, kind in TRIVIA, kind in TRIVIA or kind is TokenKind.STRING)
     for kind in TokenKind
@@ -168,13 +180,76 @@ def _diagnose(text: str, pos: int) -> str:
     return f"unexpected character {ch!r}"
 
 
-def _lex(text: str, keep_trivia: bool) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
+class Tokens:
+    """A columnar token stream: five parallel lists, one entry per token.
+
+    Indexing and iteration build each `Token` on demand; a slice is a
+    `list[Token]`. A stream compares equal to any sequence of equal tokens.
+    """
+
+    __slots__ = ("kinds", "texts", "offsets", "lines", "columns")
+
+    def __init__(
+        self,
+        kinds: list[TokenKind],
+        texts: list[str],
+        offsets: list[int],
+        lines: list[int],
+        columns: list[int],
+    ):
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+        self.lines = lines
+        self.columns = columns
+
+    def span(self, index: int) -> Span:
+        """Where token `index` starts; a token is as long as its text."""
+        return Span(self.offsets[index], len(self.texts[index]), self.lines[index], self.columns[index])
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.kinds)))]
+        return Token(self.kinds[index], self.texts[index], self.span(index))
+
+    def __iter__(self) -> Iterator[Token]:
+        for kind, text, offset, line, column in zip(
+            self.kinds, self.texts, self.offsets, self.lines, self.columns
+        ):
+            yield Token(kind, text, Span(offset, len(text), line, column))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Tokens):
+            return (
+                self.kinds == other.kinds
+                and self.texts == other.texts
+                and self.offsets == other.offsets
+                and self.lines == other.lines
+                and self.columns == other.columns
+            )
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Tokens({list(self)!r})"
+
+
+def _lex(text: str, keep_trivia: bool) -> Tokens:
+    kinds: list[TokenKind] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    lines: list[int] = []
+    columns: list[int] = []
+    add_kind, add_text, add_offset, add_line, add_column = (
+        kinds.append, texts.append, offsets.append, lines.append, columns.append
+    )
     match = _MASTER.match
-    # `tuple.__new__` builds a NamedTuple without a call to its class's
-    # `__new__` or `_make`, both written in Python.
-    new = tuple.__new__
     groups = _GROUPS
     naf = TokenKind.NAF
     pos = 0
@@ -189,25 +264,30 @@ def _lex(text: str, keep_trivia: bool) -> list[Token]:
         end = m.end()
         if keep_trivia or not trivia:
             lexeme = m.group()
-            if lexeme == "not":  # only the ID pattern matches it
-                kind = naf
-            span = new(Span, (pos, end - pos, line, pos - line_start + 1))
-            append(new(Token, (kind, lexeme, span)))
+            add_kind(naf if lexeme == "not" else kind)  # only the ID pattern matches `not`
+            add_text(lexeme)
+            add_offset(pos)
+            add_line(line)
+            add_column(pos - line_start + 1)
         if multi_line:
             newlines = text.count("\n", pos, end)
             if newlines:
                 line += newlines
                 line_start = text.rfind("\n", pos, end) + 1
         pos = end
-    append(Token(TokenKind.EOF, "", Span(pos, 0, line, pos - line_start + 1)))
-    return tokens
+    add_kind(TokenKind.EOF)
+    add_text("")
+    add_offset(pos)
+    add_line(line)
+    add_column(pos - line_start + 1)
+    return Tokens(kinds, texts, offsets, lines, columns)
 
 
-def scan(text: str) -> list[Token]:
+def scan(text: str) -> Tokens:
     """All lexemes including comment/blank trivia, in source order."""
     return _lex(text, True)
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Tokens:
     """Significant tokens only (trivia removed), ending with an EOF marker."""
     return _lex(text, False)

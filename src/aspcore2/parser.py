@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .errors import ParseError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import TokenKind, Tokens, tokenize
 from .syntax import (
     AggregateAtom,
     AggregateElement,
@@ -81,43 +81,48 @@ _BASIC_TERM_TOKENS = frozenset(
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Reads the kind and text columns of a token stream by index; builds a
+    `Span` only for a statement or an error."""
+
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def accept(self, kind: TokenKind) -> bool:
-        if self.tokens[self.pos].kind is kind:
+        if self.kinds[self.pos] is kind:
             self.pos += 1
             return True
         return False
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        if self.tokens[self.pos].kind is not kind:
+    def expect(self, kind: TokenKind, what: str) -> str:
+        """The text of the current token, which must be of `kind`."""
+        if self.kinds[self.pos] is not kind:
             self.fail(f"expected {what}")
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.texts[self.pos - 1]
 
     def fail(self, message: str) -> None:
-        token = self.tokens[self.pos]
-        found = "end of input" if token.kind is TokenKind.EOF else repr(token.text)
-        raise ParseError(f"{message}, found {found}", token.span)
+        pos = self.pos
+        found = "end of input" if self.kinds[pos] is TokenKind.EOF else repr(self.texts[pos])
+        raise ParseError(f"{message}, found {found}", self.tokens.span(pos))
 
     def at_classical_atom(self) -> bool:
-        kind = self.tokens[self.pos].kind
+        kind = self.kinds[self.pos]
         if kind is TokenKind.MINUS:
-            kind = self.tokens[self.pos + 1].kind
+            kind = self.kinds[self.pos + 1]
         return kind is TokenKind.ID
 
-    def span_from(self, start: Token) -> Span:
-        last = self.tokens[self.pos - 1]
-        return Span(
-            start.span.offset,
-            last.span.offset + last.span.length - start.span.offset,
-            start.span.line,
-            start.span.column,
-        )
+    def span_from(self, start: int) -> Span:
+        """From the start of token `start` to the end of the last token read."""
+        tokens = self.tokens
+        offset = tokens.offsets[start]
+        last = self.pos - 1
+        end = tokens.offsets[last] + len(self.texts[last])
+        return Span(offset, end - offset, tokens.lines[start], tokens.columns[start])
 
     # -- program -----------------------------------------------------------
 
@@ -125,10 +130,10 @@ class _Parser:
         rules: list[Rule] = []
         weaks: list[WeakConstraint] = []
         query: Optional[Query] = None
-        while self.tokens[self.pos].kind is not TokenKind.EOF:
+        while self.kinds[self.pos] is not TokenKind.EOF:
             if query is not None:
                 self.fail("expected end of input after query")
-            start = self.tokens[self.pos]
+            start = self.pos
             if self.accept(TokenKind.CONS):
                 body = self.parse_optional_body()
                 self.expect(TokenKind.DOT, "'.'")
@@ -143,14 +148,14 @@ class _Parser:
                     rules.append(statement)
         return Program(tuple(rules), tuple(weaks), query)
 
-    def parse_rule_or_query(self, start: Token) -> Union[Rule, Query]:
+    def parse_rule_or_query(self, start: int) -> Union[Rule, Query]:
         begin = self.pos
         head: Union[list[ClassicalAtom], ChoiceAtom, None] = None
         if self.at_classical_atom():
             atom = self.parse_classical_atom()
             if self.accept(TokenKind.QUERY_MARK):
                 return Query(atom, span=self.span_from(start))
-            if self.tokens[self.pos].kind in _TERM_FOLLOW:
+            if self.kinds[self.pos] in _TERM_FOLLOW:
                 self.pos = begin
             else:
                 head = self.parse_disjunction(atom)
@@ -167,7 +172,7 @@ class _Parser:
         self.expect(TokenKind.DOT, "'.'")
         return Rule(head if isinstance(head, ChoiceAtom) else tuple(head), tuple(body), span=self.span_from(start))
 
-    def parse_weak_constraint(self, start: Token) -> WeakConstraint:
+    def parse_weak_constraint(self, start: int) -> WeakConstraint:
         body = self.parse_optional_body()
         self.expect(TokenKind.DOT, "'.'")
         self.expect(TokenKind.SQUARE_OPEN, "'['")
@@ -193,11 +198,11 @@ class _Parser:
 
     def parse_choice_atom(self) -> ChoiceAtom:
         left_guard = None
-        if self.tokens[self.pos].kind is not TokenKind.CURLY_OPEN:
+        if self.kinds[self.pos] is not TokenKind.CURLY_OPEN:
             left_guard = Guard(self.parse_term(), self.parse_relation())
         self.expect(TokenKind.CURLY_OPEN, "'{'")
         elements: list[ChoiceElement] = []
-        if self.tokens[self.pos].kind is not TokenKind.CURLY_CLOSE:
+        if self.kinds[self.pos] is not TokenKind.CURLY_CLOSE:
             elements.append(self.parse_choice_element())
             while self.accept(TokenKind.SEMICOLON):
                 elements.append(self.parse_choice_element())
@@ -212,7 +217,7 @@ class _Parser:
         return ChoiceElement(atom, tuple(condition))
 
     def parse_right_guard(self) -> Optional[Guard]:
-        relation = _RELATION_TOKENS.get(self.tokens[self.pos].kind)
+        relation = _RELATION_TOKENS.get(self.kinds[self.pos])
         if relation is None:
             return None
         self.pos += 1
@@ -221,7 +226,7 @@ class _Parser:
     # -- bodies --------------------------------------------------------------
 
     def parse_optional_body(self) -> list[BodyLiteral]:
-        if self.tokens[self.pos].kind is TokenKind.DOT:
+        if self.kinds[self.pos] is TokenKind.DOT:
             return []
         literals = [self.parse_literal(aggregates=True)]
         while self.accept(TokenKind.COMMA):
@@ -231,7 +236,7 @@ class _Parser:
     def parse_optional_naf_literals(self) -> list[NafLiteral]:
         # Used where the grammar allows the literal list to be empty (after a
         # ':' in aggregate and choice elements); the follow set decides.
-        kind = self.tokens[self.pos].kind
+        kind = self.kinds[self.pos]
         if kind is TokenKind.COMMA:
             self.fail("expected literal")
         if kind is TokenKind.CURLY_CLOSE or kind is TokenKind.SEMICOLON:
@@ -248,16 +253,16 @@ class _Parser:
         begin = self.pos
         if self.at_classical_atom():
             atom = self.parse_classical_atom()
-            if self.tokens[self.pos].kind not in _TERM_FOLLOW:
+            if self.kinds[self.pos] not in _TERM_FOLLOW:
                 return NafLiteral(atom, naf)
             self.pos = begin
         aggregate = None
         try:
-            if aggregates and self.tokens[begin].kind in _AGGREGATE_TOKENS:
+            if aggregates and self.kinds[begin] in _AGGREGATE_TOKENS:
                 aggregate = self.parse_aggregate_atom(None)
             elif aggregates or not naf:
                 left = Guard(self.parse_term(), self.parse_relation())
-                if aggregates and self.tokens[self.pos].kind in _AGGREGATE_TOKENS:
+                if aggregates and self.kinds[self.pos] in _AGGREGATE_TOKENS:
                     aggregate = self.parse_aggregate_atom(left)
                 elif not naf:
                     return NafLiteral(BuiltinAtom(left.term, left.relation, self.parse_term()))
@@ -269,11 +274,11 @@ class _Parser:
             self.pos = begin
             return NafLiteral(self.parse_classical_atom(), naf)
         if aggregate.left_guard is None and aggregate.right_guard is None:
-            raise ParseError("aggregate atom requires at least one guard", self.tokens[begin].span)
+            raise ParseError("aggregate atom requires at least one guard", self.tokens.span(begin))
         return AggregateLiteral(aggregate, naf)
 
     def parse_relation(self) -> Relation:
-        relation = _RELATION_TOKENS.get(self.tokens[self.pos].kind)
+        relation = _RELATION_TOKENS.get(self.kinds[self.pos])
         if relation is None:
             self.fail("expected comparison operator")
         self.pos += 1
@@ -281,7 +286,7 @@ class _Parser:
 
     def parse_classical_atom(self) -> ClassicalAtom:
         strong_negation = self.accept(TokenKind.MINUS)
-        name = self.expect(TokenKind.ID, "predicate name").text
+        name = self.expect(TokenKind.ID, "predicate name")
         return ClassicalAtom(name, self.parse_arguments(), strong_negation)
 
     def parse_arguments(self) -> tuple[Term, ...]:
@@ -289,7 +294,7 @@ class _Parser:
         if not self.accept(TokenKind.PAREN_OPEN):
             return ()
         args: list[Term] = []
-        if self.tokens[self.pos].kind is not TokenKind.PAREN_CLOSE:
+        if self.kinds[self.pos] is not TokenKind.PAREN_CLOSE:
             args.append(self.parse_term())
             while self.accept(TokenKind.COMMA):
                 args.append(self.parse_term())
@@ -300,11 +305,11 @@ class _Parser:
 
     def parse_aggregate_atom(self, left_guard: Optional[Guard]) -> AggregateAtom:
         """The rest of an aggregate atom, from its function token on."""
-        function = _AGGREGATE_TOKENS[self.tokens[self.pos].kind]
+        function = _AGGREGATE_TOKENS[self.kinds[self.pos]]
         self.pos += 1
         self.expect(TokenKind.CURLY_OPEN, "'{'")
         elements: list[AggregateElement] = []
-        if self.tokens[self.pos].kind is not TokenKind.CURLY_CLOSE:
+        if self.kinds[self.pos] is not TokenKind.CURLY_CLOSE:
             elements.append(self.parse_aggregate_element())
             while self.accept(TokenKind.SEMICOLON):
                 elements.append(self.parse_aggregate_element())
@@ -313,7 +318,7 @@ class _Parser:
 
     def parse_aggregate_element(self) -> AggregateElement:
         terms: list[Term] = []
-        if self.tokens[self.pos].kind in _BASIC_TERM_TOKENS:
+        if self.kinds[self.pos] in _BASIC_TERM_TOKENS:
             terms.append(self.parse_basic_term())
             while self.accept(TokenKind.COMMA):
                 terms.append(self.parse_basic_term())
@@ -326,14 +331,14 @@ class _Parser:
     def parse_basic_term(self) -> Term:
         # Element terms are restricted to constants and variables; functional
         # and arithmetic terms are not in the element-term grammar.
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.ID:
+        kind = self.kinds[self.pos]
+        if kind is TokenKind.ID:
             self.pos += 1
-            return SymbolicConstant(token.text)
-        if token.kind is TokenKind.MINUS:
+            return SymbolicConstant(self.texts[self.pos - 1])
+        if kind is TokenKind.MINUS:
             self.pos += 1
-            return IntegerConstant(-int(self.expect(TokenKind.NUMBER, "number").text))
-        if token.kind not in _BASIC_TERM_TOKENS:
+            return IntegerConstant(-int(self.expect(TokenKind.NUMBER, "number")))
+        if kind not in _BASIC_TERM_TOKENS:
             self.fail("expected term")
         return self.parse_primary()
 
@@ -341,14 +346,14 @@ class _Parser:
 
     def parse_term(self) -> Term:
         term = self.parse_product()
-        while (op := _ADDITIVE.get(self.tokens[self.pos].kind)) is not None:
+        while (op := _ADDITIVE.get(self.kinds[self.pos])) is not None:
             self.pos += 1
             term = ArithmeticTerm(op, (term, self.parse_product()))
         return term
 
     def parse_product(self) -> Term:
         term = self.parse_primary()
-        while (op := _MULTIPLICATIVE.get(self.tokens[self.pos].kind)) is not None:
+        while (op := _MULTIPLICATIVE.get(self.kinds[self.pos])) is not None:
             self.pos += 1
             term = ArithmeticTerm(op, (term, self.parse_primary()))
         return term
@@ -356,21 +361,22 @@ class _Parser:
     def parse_primary(self) -> Term:
         """A unary minus, a constant, a variable, a functional term, or a
         parenthesized term."""
-        token = self.tokens[self.pos]
-        kind = token.kind
-        self.pos += 1
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
         if kind is TokenKind.ID:
             args = self.parse_arguments()
             # f() collapses to the plain constant f.
-            return FunctionalTerm(token.text, args) if args else SymbolicConstant(token.text)
+            text = self.texts[pos]
+            return FunctionalTerm(text, args) if args else SymbolicConstant(text)
         if kind is TokenKind.VARIABLE:
-            return Variable(token.text)
+            return Variable(self.texts[pos])
         if kind is TokenKind.NUMBER:
-            return IntegerConstant(int(token.text))
+            return IntegerConstant(int(self.texts[pos]))
         if kind is TokenKind.MINUS:
             return ArithmeticTerm(ArithOp.NEG, (self.parse_primary(),))
         if kind is TokenKind.STRING:
-            return StringConstant(token.text[1:-1])
+            return StringConstant(self.texts[pos][1:-1])
         if kind is TokenKind.ANONYMOUS_VARIABLE:
             return AnonymousVariable()
         if kind is TokenKind.PAREN_OPEN:

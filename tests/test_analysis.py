@@ -5,6 +5,7 @@ import pytest
 
 from aspcore2.analysis import (
     UnboundVariable,
+    _is_nonzero_integer_constant,
     build_dependency_graph,
     check_aggregates_nonrecursive,
     check_arities,
@@ -15,6 +16,7 @@ from aspcore2.analysis import (
 )
 from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
+from aspcore2.syntax import ArithmeticTerm, ArithOp, iter_statement_terms, iter_subterms
 
 
 def analyze(text):
@@ -311,6 +313,35 @@ def test_arithmetic_lint_flags_zero_divisor():
 def test_arithmetic_lint_accepts_constant_divisor():
     program = desugar(parse_program("p(X/2) :- q(X). r(X/-2) :- q(X)."))
     assert lint_undefined_arithmetic(program) == []
+
+
+def _divisions_by_term_walk(program):
+    """The lint's reference: every subterm of every top-level term position."""
+    return [
+        (statement, sub)
+        for statement in program.statements()
+        for top in iter_statement_terms(statement)
+        for sub in iter_subterms(top)
+        if isinstance(sub, ArithmeticTerm)
+        and sub.op is ArithOp.DIV
+        and not _is_nonzero_integer_constant(sub.args[1])
+    ]
+
+
+def test_arithmetic_lint_finds_each_division_in_term_order():
+    # A division in every term position, nested in functional and arithmetic
+    # terms, with constant divisors that discharge the lint in between.
+    program = desugar(parse_program(
+        "p(X/Y, f(X/2, g(Y/X))) | q(X/0) :- r(X, Y/Y), X/-2 < Y/X, "
+        "not s(f(1/X)), #count{X, Z : t(Z/X), Z/Y > 1} > (X+Y)/Z, Z = 1.\n"
+        ":~ r(X, Y), Z = 1. [X/Y@Y/X, f(Z/X)]\n"
+        "a :- #sum{X : r(X, Y)} = X/Y, r(X, Y).\n"
+        "r(1/W, 2)?"
+    ))
+    expected = _divisions_by_term_walk(program)
+    got = [(w.statement, w.term) for w in lint_undefined_arithmetic(program)]
+    assert got == expected and len(got) == 14
+    assert list(check_program(program).arithmetic_warnings) == lint_undefined_arithmetic(program)
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Lexer: one golden check per lexical table row, longest-match rules,
 trivia handling, error positions, the value semantics of tokens and spans,
-and a differential test against the lexical table run literally."""
+the columnar token stream, and a differential test against the lexical table
+run literally."""
 
+import gc
 import random
 
 import pytest
 
 from aspcore2.errors import LexError
-from aspcore2.lexer import TRIVIA, Token, TokenKind, scan, tokenize
+from aspcore2.lexer import TRIVIA, Token, TokenKind, Tokens, scan, tokenize
 from aspcore2.syntax import Span
 from generators import random_nonground_program_text
 from grammar_corpus import ACCEPT, REJECT
@@ -177,6 +179,80 @@ def test_token_and_span_are_equal_and_hash_by_value():
 def test_token_and_span_are_immutable(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
+
+
+# --------------------------------------------------------------------------
+# The columnar token stream
+
+
+def test_tokens_length_negative_index_and_slice():
+    tokens = tokenize("p(X).")
+    assert isinstance(tokens, Tokens)
+    assert len(tokens) == 6
+    assert tokens[-1] == Token(TokenKind.EOF, "", Span(5, 0, 1, 6))
+    assert tokens[-2] == tokens[4] == Token(TokenKind.DOT, ".", Span(4, 1, 1, 5))
+    assert tokens[1:3] == [
+        Token(TokenKind.PAREN_OPEN, "(", Span(1, 1, 1, 2)),
+        Token(TokenKind.VARIABLE, "X", Span(2, 1, 1, 3)),
+    ]
+    assert tokens[::-1] == list(tokens)[::-1]
+    with pytest.raises(IndexError):
+        tokens[6]
+
+
+@pytest.mark.parametrize("field", ["kind", "text", "offset", "line", "column"])
+def test_tokens_equal_a_list_only_when_every_field_is(field):
+    tokens = tokenize("p :- q.")
+    listed = list(tokens)
+    assert tokens == listed and listed == tokens and not tokens != listed
+    kind, text, span = listed[2]
+    changed = {
+        "kind": lambda: Token(TokenKind.VARIABLE, text, span),
+        "text": lambda: Token(kind, "r", span),
+        "offset": lambda: Token(kind, text, span._replace(offset=span.offset + 1)),
+        "line": lambda: Token(kind, text, span._replace(line=span.line + 1)),
+        "column": lambda: Token(kind, text, span._replace(column=span.column + 1)),
+    }[field]()
+    differs = listed[:2] + [changed] + listed[3:]
+    assert tokens != differs and differs != tokens
+    assert tokens != listed[:-1]
+
+
+def test_positions_after_a_multi_line_comment_and_a_string_across_lines():
+    tokens = tokenize('a %* one\ntwo *% b("s\nt") c.')
+    assert [(t.text, t.span.line, t.span.column) for t in tokens] == [
+        ("a", 1, 1),
+        ("b", 2, 8),
+        ("(", 2, 9),
+        ('"s\nt"', 2, 10),
+        (")", 3, 3),
+        ("c", 3, 5),
+        (".", 3, 6),
+        ("", 3, 7),
+    ]
+
+
+def test_tokenize_sets_off_no_garbage_collection():
+    # The stream holds only strings, integers and enum members, none of which
+    # the cyclic collector tracks, so lexing allocates nothing that counts
+    # towards a collection.
+    rng = random.Random(11)
+    parts = []
+    while sum(map(len, parts)) < 50_000:
+        parts.append(random_nonground_program_text(rng))
+    text = "\n".join(parts)
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        tokens = tokenize(text)
+        after = gc.get_stats()[0]["collections"]
+    finally:
+        if not enabled:
+            gc.disable()
+    assert len(tokens) > 10_000
+    assert after == before
 
 
 # --------------------------------------------------------------------------

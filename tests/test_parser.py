@@ -10,7 +10,7 @@ from grammar_corpus import ACCEPT, REJECT
 from parser_oracle import oracle_parse
 
 from aspcore2.errors import AspCoreError, LexError, ParseError
-from aspcore2.lexer import tokenize
+from aspcore2.lexer import Tokens, tokenize
 from aspcore2.parser import _Parser, parse_program, parse_rule
 from aspcore2.syntax import (
     AggregateAtom,
@@ -318,6 +318,17 @@ def _outcome(parse, tokens):
     return program, [statement.span for statement in program.statements()]
 
 
+def _columns(tokens):
+    """The token stream `_Parser` reads, built from a list of tokens."""
+    return Tokens(
+        [t.kind for t in tokens],
+        [t.text for t in tokens],
+        [t.span.offset for t in tokens],
+        [t.span.line for t in tokens],
+        [t.span.column for t in tokens],
+    )
+
+
 def _mutations(tokens, rng, count):
     """`count` copies of `tokens`, each with one token before EOF deleted,
     duplicated or swapped with another."""
@@ -364,8 +375,10 @@ def test_parse_agrees_with_backtracking_oracle():
             tokens = tokenize(source)
         except LexError:
             continue
-        for variant in [tokens] + _mutations(tokens, rng, 20):
-            outcome = _outcome(lambda ts: _Parser(ts).parse_program(), variant)
+        listed = list(tokens)
+        variants = [(tokens, listed)] + [(_columns(m), m) for m in _mutations(listed, rng, 20)]
+        for stream, variant in variants:
+            outcome = _outcome(lambda ts: _Parser(ts).parse_program(), stream)
             assert outcome == _outcome(oracle_parse, variant), " ".join(t.text for t in variant)
             if isinstance(outcome[0], str):
                 rejected += 1
