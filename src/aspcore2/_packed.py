@@ -2,7 +2,7 @@
 
 Candidate atoms become bit positions; rule bodies become positive/negative
 masks plus packed aggregates whose tuples carry precomputed weights and
-guard comparisons. `_fold` and the search read the same flat arrays.
+guard comparisons. The search (`kernel`) reads them as flat arrays.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class PackedProgram:
     arrays: tuple
 
     def flat(self) -> tuple:
-        """The flat view `_fold` and the search read: (size, conflicts,
-        rule_meta, agg_index, agg_meta, tuple_meta, cond_flat)."""
+        """The flat view the search reads: (size, conflicts, rule_meta,
+        agg_index, agg_meta, tuple_meta, cond_flat)."""
         return (self.size, *self.arrays)
 
 

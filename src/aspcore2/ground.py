@@ -200,6 +200,23 @@ def eval_arithmetic(term: Term, sigma: Optional[Substitution] = None) -> Optiona
     raise TypeError(f"not a term: {term!r}")
 
 
+def instantiate_atom(
+    atom: Union[ClassicalAtom, BuiltinAtom], sigma: Substitution
+) -> Optional[Union[ClassicalAtom, BuiltinAtom]]:
+    """`atom` with the substitution applied and its arguments evaluated;
+    None when an argument is undefined."""
+    if isinstance(atom, BuiltinAtom):
+        left = eval_arithmetic(atom.left, sigma)
+        right = eval_arithmetic(atom.right, sigma)
+        if left is None or right is None:
+            return None
+        return BuiltinAtom(left, atom.relation, right)
+    args = [eval_arithmetic(a, sigma) for a in atom.args]
+    if any(a is None for a in args):
+        return None
+    return ClassicalAtom(atom.predicate, tuple(args), atom.strong_negation)
+
+
 # --------------------------------------------------------------------------
 # Well-formed substitutions
 
@@ -572,14 +589,9 @@ class _Grounder:
                 if builtin_truth(left, atom.relation, right) != literal.naf:
                     out.append(state)
             elif kind == "naf":
-                args = [eval_arithmetic(a, state.sigma) for a in literal.atom.args]
-                if any(a is None for a in args):
+                ground = instantiate_atom(literal.atom, state.sigma)
+                if ground is None:
                     continue
-                ground = ClassicalAtom(
-                    literal.atom.predicate,
-                    tuple(args),
-                    literal.atom.strong_negation,
-                )
                 state.kept.append(NafLiteral(ground, naf=True))
                 out.append(state)
             elif kind == "aggregate":
@@ -804,10 +816,9 @@ def _ground_heads(
 ) -> Optional[list[ClassicalAtom]]:
     heads: list[ClassicalAtom] = []
     for atom in rule.head:
-        args = [eval_arithmetic(a, sigma) for a in atom.args]
-        if any(a is None for a in args):
+        ground = instantiate_atom(atom, sigma)
+        if ground is None:
             return None
-        ground = ClassicalAtom(atom.predicate, tuple(args), atom.strong_negation)
         check_atom_bounds(ground, bounds)
         heads.append(ground)
     return heads
@@ -899,23 +910,11 @@ def instantiate_element(
         if not is_well_formed(element, sigma, scope="element"):
             continue
         terms = tuple(eval_arithmetic(t, sigma) for t in element.terms)
-        condition = []
-        for cond in element.condition:
-            atom = cond.atom
-            if isinstance(atom, ClassicalAtom):
-                ground = ClassicalAtom(
-                    atom.predicate,
-                    tuple(eval_arithmetic(a, sigma) for a in atom.args),
-                    atom.strong_negation,
-                )
-            else:
-                ground = BuiltinAtom(
-                    eval_arithmetic(atom.left, sigma),
-                    atom.relation,
-                    eval_arithmetic(atom.right, sigma),
-                )
-            condition.append(NafLiteral(ground, cond.naf))
-        instance = AggregateElement(terms, tuple(condition), element.explicit_colon)
+        condition = tuple(
+            NafLiteral(instantiate_atom(cond.atom, sigma), cond.naf)
+            for cond in element.condition
+        )
+        instance = AggregateElement(terms, condition, element.explicit_colon)
         out.setdefault(aggregate_element_to_text(instance), instance)
     return [out[key] for key in sorted(out)]
 
@@ -971,20 +970,7 @@ def _naive_statement_instances(
                     )
                 )
             else:
-                atom = literal.atom
-                if isinstance(atom, ClassicalAtom):
-                    ground = ClassicalAtom(
-                        atom.predicate,
-                        tuple(eval_arithmetic(a, sigma) for a in atom.args),
-                        atom.strong_negation,
-                    )
-                else:
-                    ground = BuiltinAtom(
-                        eval_arithmetic(atom.left, sigma),
-                        atom.relation,
-                        eval_arithmetic(atom.right, sigma),
-                    )
-                body.append(NafLiteral(ground, literal.naf))
+                body.append(NafLiteral(instantiate_atom(literal.atom, sigma), literal.naf))
         yield sigma, body
 
 
@@ -997,14 +983,7 @@ def _naive_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
         for sigma, body in _naive_statement_instances(
             rule, universe, global_variables(rule)
         ):
-            heads = tuple(
-                ClassicalAtom(
-                    a.predicate,
-                    tuple(eval_arithmetic(arg, sigma) for arg in a.args),
-                    a.strong_negation,
-                )
-                for a in rule.head
-            )
+            heads = tuple(instantiate_atom(a, sigma) for a in rule.head)
             rules.setdefault(_canonical_rule(heads, body), None)
     weaks: dict[WeakConstraint, None] = {}
     for weak in program.weak_constraints:

@@ -2,10 +2,10 @@
 programs.
 
 The reference operations (literal satisfaction, models, reducts) work
-directly on atom sets. Enumeration packs the ground program, fixes the
-atoms the facts decide (`_fold`), and searches the open atoms (`kernel`).
-The search decides minimality exactly for every model. Every emitted
-answer set is re-checked against the reference operations on the
+directly on atom sets. Enumeration packs the ground program and searches
+the packed arrays (`kernel`), whose root propagation decides what the facts
+decide. The search decides minimality exactly for every model. Every
+emitted answer set is re-checked against the reference operations on the
 unsimplified ground program: consistency and modelhood always, minimality
 by the shifted reduct at any size when no aggregate reads an atom of its
 own rule's head component, and by a submask sweep of up to 12 atoms where
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import kernel as _kernel
-from ._fold import fold_fixed
 from ._packed import pack_program
 from .analysis import DependencyGraph, atom_signature, signature_to_text
 from .errors import CapacityExceeded
@@ -29,7 +28,7 @@ from .ground import (
     GroundProgram,
     LESS,
     builtin_truth,
-    eval_arithmetic,
+    instantiate_atom,
     match_atom,
     relation_holds,
     term_compare,
@@ -334,36 +333,28 @@ def answer_sets(
 ) -> tuple[Interpretation, ...]:
     """All answer sets, projected onto the user signature and sorted.
 
-    Packs the ground program over its derivable head atoms, fixes the atoms
-    the facts decide and folds them out (`_fold`), and searches the open
-    atoms for the minimal models of their own reducts (`kernel`), deciding
-    minimality exactly for every model. CapacityExceeded ends a search that
-    spends `kernel.NODE_BUDGET` nodes. Each result is re-checked against
-    the reference operations on `ground_program` (see
+    Packs the ground program over its derivable head atoms and searches the
+    packed arrays for the minimal models of their own reducts (`kernel`),
+    deciding minimality exactly for every model. CapacityExceeded ends a
+    search that spends `kernel.NODE_BUDGET` nodes. Each result is
+    re-checked against the reference operations on `ground_program` (see
     `_verify_answer_set`).
 
     Nothing reads `brute_force_limit`; it is accepted only because
     `perfbench/worker.py` still passes it, and goes when perfbench stops passing it.
     """
     packed = pack_program(ground_program)
-    folded = fold_fixed(packed.flat())
     try:
-        masks = _kernel.solve_masks(folded.flat)
+        masks = _kernel.solve_masks(packed.flat())
     except _kernel.SearchExhausted as error:
-        named = [
-            packed.atoms[bit]
-            for j, bit in enumerate(folded.open_bits)
-            if error.atoms >> j & 1
-        ]
+        named = [atom for i, atom in enumerate(packed.atoms) if error.atoms >> i & 1]
         raise CapacityExceeded(
             f"{error.message}; {_largest_predicates(named)}"
         ) from None
-    raw: list[Interpretation] = []
-    for mask in masks:
-        full = folded.unfold(mask)
-        raw.append(
-            frozenset(atom for i, atom in enumerate(packed.atoms) if full >> i & 1)
-        )
+    raw = [
+        frozenset(atom for i, atom in enumerate(packed.atoms) if mask >> i & 1)
+        for mask in masks
+    ]
     if verify:
         for interpretation in raw:
             _verify_answer_set(ground_program, interpretation)
@@ -463,10 +454,9 @@ def answer_query(
         return QueryAnswer("inconsistent")
     atom = query.atom
     if not atom_variables(atom):
-        args = [eval_arithmetic(a, {}) for a in atom.args]
-        if any(a is None for a in args):
+        ground_atom = instantiate_atom(atom, {})
+        if ground_atom is None:
             return QueryAnswer("false")
-        ground_atom = ClassicalAtom(atom.predicate, tuple(args), atom.strong_negation)
         held = all(ground_atom in interpretation for interpretation in sets)
         return QueryAnswer("true" if held else "false")
     common: Optional[set[tuple[tuple[str, Term], ...]]] = None

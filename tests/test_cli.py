@@ -2,14 +2,21 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import aspcore2
 from aspcore2 import kernel
 from aspcore2.cli import main
+
+# the command-line subprocesses import the package these tests import,
+# whether it is installed or only on pytest's `pythonpath`
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(aspcore2.__file__).parents[1])}
 
 
 def run(capsys, *argv):
@@ -317,7 +324,7 @@ def test_head_cycle_pairs_solve_from_the_command_line(tmp_path):
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "aspcore2", "solve", path],
-        capture_output=True, text=True, timeout=30,
+        capture_output=True, text=True, timeout=30, env=CHILD_ENV,
     )
     assert time.perf_counter() - start < 15
     assert done.returncode == 0
@@ -330,7 +337,7 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     path = source(tmp_path, "".join(f"f({i},{j}).\n" for i in range(200) for j in range(100)))
     with subprocess.Popen(
         [sys.executable, "-m", "aspcore2", "ground", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
     ) as process:
         first = process.stdout.readline()
         process.stdout.close()
@@ -346,7 +353,7 @@ def test_naive_grounding_over_its_budget_exits_4():
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "aspcore2", "solve", "--naive"],
-        input=text, capture_output=True, text=True, timeout=30,
+        input=text, capture_output=True, text=True, timeout=30, env=CHILD_ENV,
     )
     assert time.perf_counter() - start < 5
     assert done.returncode == 4

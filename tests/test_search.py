@@ -6,10 +6,10 @@ import time
 import pytest
 
 from aspcore2 import kernel
-from aspcore2._fold import _Fixpoint, fold_fixed
 from aspcore2._packed import pack_program
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, ground_program
+from aspcore2.kernel import _Fixpoint
 from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
 from aspcore2.solver import answer_sets
@@ -53,7 +53,7 @@ def pigeonhole(pigeons, holes):
 
 
 def test_search_matches_brute_force_on_folded_random_programs():
-    # fold, search and unfold together, against the oracle's enumeration
+    # pack and search together, against the oracle's enumeration
     rng = random.Random(41)
     for i in range(600):
         program = random_program(rng, i)
@@ -87,18 +87,47 @@ def test_textbook_counts(text, count):
     assert len(answer_sets(ground(text))) == count
 
 
+@pytest.mark.parametrize(
+    "text, budget, message",
+    [
+        (
+            queens(6),
+            378,
+            "search spent its budget of 377 nodes on 72 undecided atoms; "
+            "most atoms: __aux_q_0/3 (36), q/2 (36)",
+        ),
+        (
+            colouring(3, 6),
+            450,
+            "search spent its budget of 449 nodes on 36 undecided atoms; "
+            "most atoms: __aux_colour_0/3 (18), colour/2 (18)",
+        ),
+    ],
+)
+def test_search_size_is_pinned(monkeypatch, text, budget, message):
+    # the smallest budget that decides each program: a search that grows
+    # its tree on programs with facts spends more
+    program = ground(text)
+    monkeypatch.setattr(kernel, "NODE_BUDGET", budget)
+    assert answer_sets(program)
+    monkeypatch.setattr(kernel, "NODE_BUDGET", budget - 1)
+    with pytest.raises(CapacityExceeded) as caught:
+        answer_sets(program)
+    assert str(caught.value) == message
+
+
 def test_unsupported_positive_loop_stays_out():
     a, p, q = (ClassicalAtom(name) for name in "apq")
     got = answer_sets(ground("{a}. p :- q. q :- p. p :- a."))
     assert set(got) == {frozenset(), frozenset({a, p, q})}
 
 
-def folded_engine(program):
-    return _Fixpoint(fold_fixed(pack_program(program).flat()).flat, search=True)
+def packed_engine(program):
+    return _Fixpoint(pack_program(program).flat())
 
 
 def test_head_cycle_goes_through_the_smaller_model_search():
-    assert not kernel.stratified(folded_engine(ground("a | b. a :- b. b :- a.")))
+    assert not kernel.stratified(packed_engine(ground("a | b. a :- b. b :- a.")))
     (model,) = answer_sets(ground("a | b. a :- b. b :- a."))
     assert model == {ClassicalAtom("a"), ClassicalAtom("b")}
 
@@ -108,7 +137,7 @@ def test_aggregate_over_its_own_head_has_no_answer_set():
     # rule supports: a search that lets support prune, or a stratification
     # that lets a condition atom share its head's component, emits {a, b}
     program = ground("b :- #count{1:a; 2:b} != 1. a :- b.")
-    assert not kernel.stratified(folded_engine(program))
+    assert not kernel.stratified(packed_engine(program))
     assert kernel.solve_masks(pack_program(program).flat()) == []
     assert answer_sets(program) == ()
     assert oracle_answer_sets(program.rules) == set()
@@ -119,7 +148,7 @@ def test_aggregate_that_its_head_supports_does_not_support_the_head():
     # a -> b: without it, {a, b} passes as the least model of its shifted
     # reduct, though {} is a smaller model of the reduct
     program = ground("b :- #count{1:a} >= 1. a :- b.")
-    assert not kernel.stratified(folded_engine(program))
+    assert not kernel.stratified(packed_engine(program))
     assert kernel.solve_masks(pack_program(program).flat()) == [0]
     assert answer_sets(program) == (frozenset(),)
     assert oracle_answer_sets(program.rules) == {frozenset()}
@@ -198,7 +227,7 @@ def test_head_cycle_free_program_needs_no_sweep(monkeypatch):
     # every model of a head-cycle-free program is decided by its shifted
     # reduct, without a search for a smaller model
     monkeypatch.setattr(kernel, "_smaller_model", None)
-    assert kernel.stratified(folded_engine(ground(colouring(3, 6))))
+    assert kernel.stratified(packed_engine(ground(colouring(3, 6))))
     assert len(answer_sets(ground(colouring(3, 6)))) == 66
 
 
@@ -255,7 +284,7 @@ def test_layered_aggregates_match_the_oracle():
     for _ in range(2000):
         rules = layered_program(rng)
         program = GroundProgram(tuple(rules))
-        if kernel.stratified(folded_engine(program)):
+        if kernel.stratified(packed_engine(program)):
             stratified += 1
         else:
             searched += 1

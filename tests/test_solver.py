@@ -282,14 +282,22 @@ def test_capacity_error_counts_the_predicates_not_shown(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Atoms fixed before enumeration
+# Atoms the root propagation fixes
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        # a constraint must not fix `a` true: {a, c} is not minimal
+        # the constraint makes `a` true at the root, yet {a, c} is not
+        # minimal for its reduct and no answer set
         "a | c. c :- a. :- not a.",
+        # a fact inside a head cycle
+        "a | b. a :- b. b :- a. a.",
+        # `#min` propagation waits on condition atoms of refuted rows
+        "a | a :- not c, not #min{b,-2 : d, c; :; -2,1 :} = -2. "
+        "c | b :- c, d, #min{b,3 : not c, not d; :} <= 2. "
+        ":- c, b, d, #count{0,3 : a} <= 4. "
+        "a | c :- not #max{: not b, c} = -2. d.",
         "a. b :- not a.",
         "x. -x :- y. y.",
         "r(1). r(2). big :- #sum{X : r(X)} >= 3.",
