@@ -1,15 +1,19 @@
 """Answer sets, optimality, and cautious query answering over ground
 programs.
 
-The reference operations (literal satisfaction, models, reducts) work
-directly on atom sets. Enumeration packs the ground program and searches
-the packed arrays (`kernel`), whose root propagation decides what the facts
-decide. The search decides minimality exactly for every model. Every
-emitted answer set is re-checked against the reference operations on the
-unsimplified ground program: consistency and modelhood always, minimality
-by the shifted reduct at any size when no aggregate reads an atom of its
-own rule's head component, and by a submask sweep of up to 12 atoms where
-that fails or a head cycle leaves the shifted reduct undecided.
+Literal satisfaction and aggregate values work directly on atom sets.
+Models and reducts are computed on numbered atoms (`_Checker`): each atom
+of the ground program is hashed once, and one pass over the rule bodies
+gives both whether an interpretation is a model and its reduct.
+Enumeration packs the ground program and searches the packed arrays
+(`kernel`), whose root propagation decides what the facts decide. The
+search decides minimality exactly for every model. Every emitted answer
+set is re-checked against the definitions on the unsimplified ground
+program, by a `_Checker` built once per call: consistency and modelhood
+always, minimality by the shifted reduct at any size when no aggregate
+reads an atom of its own rule's head component, and by a submask sweep of
+up to 12 atoms where that fails or a head cycle leaves the shifted reduct
+undecided.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, NamedTuple, Optional, Union
 
 from . import kernel as _kernel
 from ._packed import pack_program
@@ -36,6 +40,7 @@ from .ground import (
 )
 from .syntax import (
     AUX_MARKER,
+    AggregateAtom,
     AggregateElement,
     AggregateFunction,
     AggregateLiteral,
@@ -45,6 +50,7 @@ from .syntax import (
     FunctionalTerm,
     IntegerConstant,
     Query,
+    Rule,
     SymbolicConstant,
     Term,
     atom_variables,
@@ -79,16 +85,11 @@ def _value_compare(value: AggregateValue, term: Term) -> int:
     return term_compare(value, term)
 
 
-def eval_aggregate(
-    function: AggregateFunction,
-    elements: Iterable[AggregateElement],
-    interpretation: Interpretation,
+def _aggregate_value(
+    function: AggregateFunction, satisfied: Collection[tuple[Term, ...]]
 ) -> AggregateValue:
-    """Aggregate value over the set of tuples whose conditions hold."""
-    satisfied: set[tuple[Term, ...]] = set()
-    for element in elements:
-        if all(satisfies_literal(l, interpretation) for l in element.condition):
-            satisfied.add(element.terms)
+    """Aggregate value over the distinct element tuples whose conditions
+    hold."""
     if function is AggregateFunction.COUNT:
         return IntegerConstant(len(satisfied))
     if function is AggregateFunction.SUM:
@@ -106,20 +107,40 @@ def eval_aggregate(
     return ordered[-1] if function is AggregateFunction.MAX else ordered[0]
 
 
+def eval_aggregate(
+    function: AggregateFunction,
+    elements: Iterable[AggregateElement],
+    interpretation: Interpretation,
+) -> AggregateValue:
+    """Aggregate value over the set of tuples whose conditions hold."""
+    return _aggregate_value(
+        function,
+        {
+            element.terms
+            for element in elements
+            if all(satisfies_literal(l, interpretation) for l in element.condition)
+        },
+    )
+
+
+def _guards_hold(atom: AggregateAtom, value: AggregateValue) -> bool:
+    """Whether an aggregate value satisfies the aggregate's guards."""
+    if atom.left_guard is not None and not relation_holds(
+        -_value_compare(value, atom.left_guard.term), atom.left_guard.relation
+    ):
+        return False
+    return atom.right_guard is None or relation_holds(
+        _value_compare(value, atom.right_guard.term), atom.right_guard.relation
+    )
+
+
 def satisfies_literal(
     literal: BodyLiteral, interpretation: Interpretation
 ) -> bool:
     if isinstance(literal, AggregateLiteral):
         atom = literal.atom
         value = eval_aggregate(atom.function, atom.elements, interpretation)
-        truth = True
-        if atom.left_guard is not None:
-            cmp = -_value_compare(value, atom.left_guard.term)
-            truth = relation_holds(cmp, atom.left_guard.relation)
-        if truth and atom.right_guard is not None:
-            cmp = _value_compare(value, atom.right_guard.term)
-            truth = relation_holds(cmp, atom.right_guard.relation)
-        return truth != literal.naf
+        return _guards_hold(atom, value) != literal.naf
     atom = literal.atom
     if isinstance(atom, BuiltinAtom):
         truth = builtin_truth(atom.left, atom.relation, atom.right)
@@ -128,27 +149,169 @@ def satisfies_literal(
     return truth != literal.naf
 
 
-def _body_true(rule, interpretation: Interpretation) -> bool:
-    return all(satisfies_literal(l, interpretation) for l in rule.body)
+class _NumberedRule(NamedTuple):
+    """A ground rule on the numbers of its atoms (see `_Checker`)."""
+
+    source: Rule
+    head: frozenset[int]
+    pos: frozenset[int]
+    neg: frozenset[int]
+    # (naf, aggregate atom, its distinct element tuples, (tuple index, pos,
+    # neg) per element that can hold)
+    aggregates: tuple[tuple[bool, AggregateAtom, tuple, tuple], ...]
+    # every atom of an aggregate condition, for the components of shifting
+    conditions: frozenset[int]
+
+
+class _Checker:
+    """The rules of a ground program on numbered atoms, for checking
+    interpretations against the definitions.
+
+    Each distinct atom of the program is hashed once, here, to a number.
+    Ground builtins are decided here too: a rule or an aggregate element
+    with a false one can never hold and is left out, and a true one is
+    left out of its body or condition. An interpretation is then numbered
+    with one hash per atom, and one pass over the rules gives both its
+    modelhood and its reduct.
+    """
+
+    def __init__(self, ground_program: GroundProgram) -> None:
+        self.numbers: dict[ClassicalAtom, int] = {}
+        self.rules: list[_NumberedRule] = []
+        for rule in ground_program.rules:
+            holds, pos, neg, literals = self._split(rule.body)
+            if not holds:
+                continue
+            aggregates = []
+            conditions: set[int] = set()
+            for literal in literals:
+                tuples: dict[tuple[Term, ...], int] = {}
+                elements = []
+                for element in literal.atom.elements:
+                    element_holds, element_pos, element_neg, _ = self._split(
+                        element.condition
+                    )
+                    conditions |= element_pos | element_neg
+                    if element_holds:
+                        index = tuples.setdefault(element.terms, len(tuples))
+                        elements.append((index, element_pos, element_neg))
+                aggregates.append(
+                    (literal.naf, literal.atom, tuple(tuples), tuple(elements))
+                )
+            head = frozenset(map(self._number, rule.head))
+            self.rules.append(
+                _NumberedRule(
+                    rule, head, pos, neg, tuple(aggregates), frozenset(conditions)
+                )
+            )
+
+    def _number(self, atom: ClassicalAtom) -> int:
+        return self.numbers.setdefault(atom, len(self.numbers))
+
+    def _split(self, literals: Iterable[BodyLiteral]):
+        """(whether every builtin holds, positive atoms, naf atoms, aggregate
+        literals) of `literals`, atoms as numbers."""
+        holds = True
+        pos: set[int] = set()
+        neg: set[int] = set()
+        aggregates = []
+        for literal in literals:
+            atom = literal.atom
+            if isinstance(literal, AggregateLiteral):
+                aggregates.append(literal)
+            elif isinstance(atom, BuiltinAtom):
+                holds = holds and (
+                    builtin_truth(atom.left, atom.relation, atom.right) != literal.naf
+                )
+            else:
+                (neg if literal.naf else pos).add(self._number(atom))
+        return holds, frozenset(pos), frozenset(neg), aggregates
+
+    def numbered(self, interpretation: Interpretation) -> frozenset[int]:
+        """The numbers of an interpretation's atoms. An atom outside the
+        program gets a fresh number: a negative one, distinct per atom."""
+        get = self.numbers.get
+        return frozenset(
+            [get(atom, -1 - i) for i, atom in enumerate(interpretation)]
+        )
+
+    def verify_answer_set(self, interpretation: Interpretation) -> None:
+        """Post-hoc reference check of one emitted answer set: consistent,
+        a model, and minimal for its reduct. Minimality is decided by
+        shifting (`_minimal_by_shifting`), and otherwise by a submask sweep
+        up to 12 atoms; above 12 atoms it stays unchecked when shifting
+        cannot decide it."""
+        if not _is_consistent(interpretation):
+            raise RuntimeError("internal error: inconsistent answer set emitted")
+        model = self.numbered(interpretation)
+        kept = _holding(self.rules, model)
+        if not _heads_met(kept, model):
+            raise RuntimeError("internal error: emitted answer set is not a model")
+        minimal = _minimal_by_shifting(
+            [(rule.head & model, rule.pos, rule.conditions) for rule in kept], model
+        )
+        if minimal is None:
+            if len(model) > 12:
+                return
+            atoms = tuple(model)
+            minimal = not any(
+                _heads_met(_holding(kept, subset), subset)
+                for subset in (
+                    frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+                    for mask in range((1 << len(atoms)) - 1)
+                )
+            )
+        if not minimal:
+            raise RuntimeError(
+                "internal error: emitted answer set is not minimal for its reduct"
+            )
+
+
+def _aggregates_hold(aggregates, model: frozenset[int]) -> bool:
+    """Whether every aggregate literal of a numbered rule body holds in
+    `model`."""
+    for naf, atom, tuples, elements in aggregates:
+        satisfied = {
+            index
+            for index, pos, neg in elements
+            if pos <= model and model.isdisjoint(neg)
+        }
+        value = _aggregate_value(atom.function, [tuples[i] for i in satisfied])
+        if _guards_hold(atom, value) == naf:
+            return False
+    return True
+
+
+def _holding(rules: list[_NumberedRule], model: frozenset[int]) -> list[_NumberedRule]:
+    """The rules whose bodies hold in `model`, in order."""
+    return [
+        rule
+        for rule in rules
+        if rule.pos <= model
+        and model.isdisjoint(rule.neg)
+        and (not rule.aggregates or _aggregates_hold(rule.aggregates, model))
+    ]
+
+
+def _heads_met(rules: list[_NumberedRule], model: frozenset[int]) -> bool:
+    """Whether every rule of `rules` has a head atom in `model`."""
+    return all(not rule.head.isdisjoint(model) for rule in rules)
 
 
 def is_model(ground_program: GroundProgram, interpretation: Interpretation) -> bool:
     """Every rule with a true body has a true head atom."""
-    for rule in ground_program.rules:
-        if _body_true(rule, interpretation) and not any(
-            atom in interpretation for atom in rule.head
-        ):
-            return False
-    return True
+    checker = _Checker(ground_program)
+    model = checker.numbered(interpretation)
+    return _heads_met(_holding(checker.rules, model), model)
 
 
 def reduct(
     ground_program: GroundProgram, interpretation: Interpretation
 ) -> GroundProgram:
     """Rules whose entire body is true under the interpretation, verbatim."""
-    return GroundProgram(
-        tuple(r for r in ground_program.rules if _body_true(r, interpretation))
-    )
+    checker = _Checker(ground_program)
+    kept = _holding(checker.rules, checker.numbered(interpretation))
+    return GroundProgram(tuple(rule.source for rule in kept))
 
 
 # --------------------------------------------------------------------------
@@ -167,10 +330,6 @@ def atom_order_key(atom: ClassicalAtom):
     return (term_sort_key(_atom_as_term(atom)), atom.strong_negation)
 
 
-def interpretation_sort_key(interpretation: Interpretation):
-    return tuple(atom_order_key(a) for a in sorted(interpretation, key=atom_order_key))
-
-
 def project_interpretation(interpretation: Interpretation) -> Interpretation:
     """Strip desugaring auxiliaries, keeping the user signature."""
     return frozenset(
@@ -186,9 +345,9 @@ def _is_consistent(interpretation: Interpretation) -> bool:
     )
 
 
-def _least_model(rules: list[tuple[ClassicalAtom, frozenset[ClassicalAtom]]]) -> set:
+def _least_model(rules: list[tuple[int, frozenset[int]]]) -> set[int]:
     """Least model of definite rules given as (head, positive body)."""
-    waiting: dict[ClassicalAtom, list[int]] = {}
+    waiting: dict[int, list[int]] = {}
     missing = []
     queue = []
     for index, (head, body) in enumerate(rules):
@@ -197,7 +356,7 @@ def _least_model(rules: list[tuple[ClassicalAtom, frozenset[ClassicalAtom]]]) ->
             waiting.setdefault(atom, []).append(index)
         if not body:
             queue.append(head)
-    derived: set[ClassicalAtom] = set()
+    derived: set[int] = set()
     while queue:
         atom = queue.pop()
         if atom in derived:
@@ -210,40 +369,23 @@ def _least_model(rules: list[tuple[ClassicalAtom, frozenset[ClassicalAtom]]]) ->
     return derived
 
 
-def _minimal_by_shifting(
-    red: GroundProgram, interpretation: Interpretation
-) -> Optional[bool]:
-    """Whether a model is minimal for its reduct, decided by shifting; None
-    when this check cannot decide.
+def _minimal_by_shifting(rules: list[tuple], model: frozenset) -> Optional[bool]:
+    """Whether a model M is minimal for its reduct, decided by shifting;
+    None when this check cannot decide.
 
-    Inside the model, a kept rule acts as `H & I :- B`. Take the strongly
-    connected components over the edges body atom -> head atom and
-    aggregate condition atom -> head atom of these rules. When no condition
-    atom shares a component with a head atom of its rule, each aggregate
-    reads only atoms below its head, and the naf literals stay true, in
-    every model of the reduct inside the interpretation (Lifschitz & Turner
-    1994). The model is then minimal if it is the least model of the
-    shifted reduct, `h :- B+` for each kept rule whose head meets it in `h`
-    alone. If it is not, it is not minimal when also no two atoms of one
-    head share a component (Ben-Eliyahu & Dechter 1994), and the check
+    `rules` are the reduct's rules as (head atoms in M, positive body
+    atoms, aggregate condition atoms): inside M, a kept rule acts as
+    `H & M :- B`. Take the strongly connected components over the edges
+    body atom -> head atom and aggregate condition atom -> head atom of
+    these rules. When no condition atom shares a component with a head atom
+    of its rule, each aggregate reads only atoms below its head, and the
+    naf literals stay true, in every model of the reduct inside M
+    (Lifschitz & Turner 1994). M is then minimal if it is the least model
+    of the shifted reduct, `h :- B+` for each kept rule whose head meets M
+    in `h` alone. If it is not, it is not minimal when also no two atoms of
+    one head share a component (Ben-Eliyahu & Dechter 1994), and the check
     cannot tell otherwise.
     """
-    rules = []
-    for rule in red.rules:
-        body = frozenset(
-            l.atom
-            for l in rule.body
-            if not l.naf and isinstance(l.atom, ClassicalAtom)
-        )
-        conditions = frozenset(
-            c.atom
-            for l in rule.body
-            if isinstance(l, AggregateLiteral)
-            for element in l.atom.elements
-            for c in element.condition
-            if isinstance(c.atom, ClassicalAtom)
-        )
-        rules.append((frozenset(rule.head) & interpretation, body, conditions))
     # the components are built only when needed: most reducts have no
     # aggregate, and most answer sets are the least model
     component = None
@@ -256,7 +398,7 @@ def _minimal_by_shifting(
         ):
             return None
     shifted = [(next(iter(head)), body) for head, body, _ in rules if len(head) == 1]
-    if _least_model(shifted) == interpretation:
+    if _least_model(shifted) == model:
         return True
     if component is None:
         component = _components(rules)
@@ -265,52 +407,22 @@ def _minimal_by_shifting(
     return False
 
 
-def _components(rules) -> dict[ClassicalAtom, int]:
+def _components(rules) -> dict[int, int]:
     """The strongly connected component of each atom of `rules`, given as
     (head, positive body, condition atoms), over the edges body atom ->
     head atom and condition atom -> head atom."""
-    ids: dict[ClassicalAtom, int] = {}
-    for head, body, conditions in rules:
-        for atom in head | body | conditions:
-            ids.setdefault(atom, len(ids))
+    atoms = frozenset().union(*(head | body | conditions for head, body, conditions in rules))
     edges = frozenset(
-        (ids[b], ids[h])
+        (b, h)
         for head, body, conditions in rules
         for b in body | conditions
         for h in head
     )
-    component = {}
-    for number, members in enumerate(
-        DependencyGraph(frozenset(ids.values()), edges).components()
-    ):
-        for vertex in members:
-            component[vertex] = number
-    return {atom: component[i] for atom, i in ids.items()}
-
-
-def _verify_answer_set(
-    ground_program: GroundProgram, interpretation: Interpretation
-) -> None:
-    """Post-hoc reference check of one emitted answer set. Minimality stays
-    unchecked above 12 atoms when shifting cannot decide it."""
-    if not _is_consistent(interpretation):
-        raise RuntimeError("internal error: inconsistent answer set emitted")
-    if not is_model(ground_program, interpretation):
-        raise RuntimeError("internal error: emitted answer set is not a model")
-    red = reduct(ground_program, interpretation)
-    minimal = _minimal_by_shifting(red, interpretation)
-    if minimal is None:
-        if len(interpretation) > 12:
-            return
-        atoms = sorted(interpretation, key=atom_order_key)
-        minimal = not any(
-            is_model(red, frozenset(a for i, a in enumerate(atoms) if mask >> i & 1))
-            for mask in range((1 << len(atoms)) - 1)
-        )
-    if not minimal:
-        raise RuntimeError(
-            "internal error: emitted answer set is not minimal for its reduct"
-        )
+    return {
+        atom: number
+        for number, members in enumerate(DependencyGraph(atoms, edges).components())
+        for atom in members
+    }
 
 
 def _largest_predicates(atoms: Iterable[ClassicalAtom]) -> str:
@@ -337,8 +449,8 @@ def answer_sets(
     packed arrays for the minimal models of their own reducts (`kernel`),
     deciding minimality exactly for every model. CapacityExceeded ends a
     search that spends `kernel.NODE_BUDGET` nodes. Each result is
-    re-checked against the reference operations on `ground_program` (see
-    `_verify_answer_set`).
+    re-checked against the definitions on `ground_program` (see
+    `_Checker.verify_answer_set`).
 
     Nothing reads `brute_force_limit`; it is accepted only because
     `perfbench/worker.py` still passes it, and goes when perfbench stops passing it.
@@ -356,15 +468,17 @@ def answer_sets(
         for mask in masks
     ]
     if verify:
+        checker = _Checker(ground_program)
         for interpretation in raw:
-            _verify_answer_set(ground_program, interpretation)
+            checker.verify_answer_set(interpretation)
     results = raw
     if project:
         seen: dict[Interpretation, None] = {}
         for interpretation in raw:
             seen.setdefault(project_interpretation(interpretation))
         results = list(seen)
-    return tuple(sorted(results, key=interpretation_sort_key))
+    keys = {atom: atom_order_key(atom) for atom in packed.atoms}
+    return tuple(sorted(results, key=lambda s: tuple(sorted(keys[a] for a in s))))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Random program and term generators for differential tests.
+"""Random program and term generators for differential tests, and the
+textbook encodings that tests and benchmarks share.
 
 Generated ground programs are built directly as syntax trees so the
 semantics are exercised independently of the parser. Sizes stay small
@@ -208,3 +209,24 @@ def random_query_program(rng: random.Random) -> tuple[GroundProgram, ClassicalAt
     else:
         pattern = rng.choice(atoms)
     return GroundProgram(tuple(rules)), pattern
+
+
+# --------------------------------------------------------------------------
+# Textbook encodings, as program text
+
+
+def colouring(k: int, n: int) -> str:
+    """k-colouring of an n-cycle, with colours r, g, b, y."""
+    facts = [f"node({i}). edge({i},{i % n + 1})." for i in range(1, n + 1)]
+    facts += [f"col({c})." for c in "rgby"[:k]]
+    return " ".join(facts) + """
+{colour(X,C) : col(C)} = 1 :- node(X).
+:- edge(X,Y), colour(X,C), colour(Y,C)."""
+
+
+def queens(n: int) -> str:
+    return " ".join(f"num({i})." for i in range(1, n + 1)) + """
+{q(X,Y) : num(Y)} = 1 :- num(X).
+:- q(X1,Y), q(X2,Y), X1 < X2.
+:- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y2 - Y1.
+:- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y1 - Y2."""

@@ -14,7 +14,13 @@ from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
 from aspcore2.solver import answer_sets
 from aspcore2.syntax import ClassicalAtom, IntegerConstant, NafLiteral, Rule, SymbolicConstant
-from generators import _random_aggregate, random_ground_program, random_query_program
+from generators import (
+    _random_aggregate,
+    colouring,
+    queens,
+    random_ground_program,
+    random_query_program,
+)
 from oracles import oracle_answer_sets
 
 
@@ -26,22 +32,6 @@ def random_program(rng, i):
     if i % 3 == 2:
         return random_query_program(rng)[0]
     return random_ground_program(rng, with_aggregates=i % 2 == 0)
-
-
-def colouring(k, n):
-    facts = [f"node({i}). edge({i},{i % n + 1})." for i in range(1, n + 1)]
-    facts += [f"col({c})." for c in "rgby"[:k]]
-    return " ".join(facts) + """
-{colour(X,C) : col(C)} = 1 :- node(X).
-:- edge(X,Y), colour(X,C), colour(Y,C)."""
-
-
-def queens(n):
-    return " ".join(f"num({i})." for i in range(1, n + 1)) + """
-{q(X,Y) : num(Y)} = 1 :- num(X).
-:- q(X1,Y), q(X2,Y), X1 < X2.
-:- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y2 - Y1.
-:- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y1 - Y2."""
 
 
 def pigeonhole(pigeons, holes):

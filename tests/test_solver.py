@@ -1,10 +1,12 @@
 """Model checking, reducts, answer sets, optimization, and queries."""
 
+import itertools
 import random
 
 import pytest
 
 from aspcore2 import kernel
+from aspcore2._packed import pack_program
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
 from aspcore2.parser import parse_program
@@ -13,6 +15,7 @@ from aspcore2.solver import (
     MINUS_INFINITY,
     PLUS_INFINITY,
     QueryAnswer,
+    _Checker,
     answer_query,
     answer_sets,
     eval_aggregate,
@@ -37,6 +40,8 @@ from generators import random_ground_program
 from oracles import (
     gl_answer_sets,
     oracle_answer_sets,
+    oracle_body_true,
+    oracle_is_model,
     oracle_optimal,
     program_atoms,
 )
@@ -354,6 +359,28 @@ def test_verification_rejects_a_non_minimal_set_of_a_recursive_aggregate(monkeyp
         answer_sets(program)
 
 
+def test_verification_rejects_a_set_that_is_not_a_model(monkeypatch):
+    # naive grounding keeps the ground builtins, so the body of the rule for
+    # q holds through `1 < 2`, an aggregate whose condition holds through
+    # `2 > 1`, and p; the set {p} leaves its head false
+    text = "p. q :- p, 1 < 2, #count{1 : p, 2 > 1} >= 1."
+    program = ground_program(desugar(parse_program(text)), UniverseBounds(2, 0), naive=True)
+    assert "1 < 2" in program.to_text()
+    atoms = pack_program(program).atoms
+    without_q = sum(1 << i for i, a in enumerate(atoms) if a != atom("q"))
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat: [without_q])
+    with pytest.raises(RuntimeError, match="^internal error: emitted answer set is not a model$"):
+        answer_sets(program)
+
+
+def test_verification_rejects_an_inconsistent_set(monkeypatch):
+    program = ground("a | -a.")
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat: [(1 << flat[0]) - 1])
+    assert answer_sets(program, verify=False) == (frozenset({atom("a"), atom("a", neg=True)}),)
+    with pytest.raises(RuntimeError, match="^internal error: inconsistent answer set emitted$"):
+        answer_sets(program)
+
+
 def test_verification_sweeps_a_reduct_with_a_head_cycle():
     assert solve("a | b. a :- b. b :- a.") == (frozenset({atom("a"), atom("b")}),)
 
@@ -383,6 +410,33 @@ def test_matches_oracle_on_random_ground_programs():
         expected = oracle_answer_sets(program.rules)
         got = {frozenset(i) for i in answer_sets(program)}
         assert got == expected
+
+
+def test_checker_accepts_exactly_the_oracle_answer_sets():
+    # every subset of the program's atoms, with aggregates and builtins;
+    # at most 8 atoms, so the submask sweep decides what shifting cannot
+    rng = random.Random(29)
+    outside = atom("z")
+    for _ in range(400):
+        program = random_ground_program(rng)
+        rules = program.rules
+        base = program_atoms(rules)
+        checker = _Checker(program)
+        accepted = set()
+        for size in range(len(base) + 1):
+            for combo in itertools.combinations(base, size):
+                try:
+                    checker.verify_answer_set(frozenset(combo))
+                except RuntimeError:
+                    continue
+                accepted.add(frozenset(combo))
+        assert accepted == oracle_answer_sets(rules, base)
+        for _ in range(10):
+            interpretation = frozenset(a for a in base if rng.random() < 0.5) | {outside}
+            assert is_model(program, interpretation) == oracle_is_model(rules, interpretation)
+            assert list(reduct(program, interpretation).rules) == [
+                r for r in rules if oracle_body_true(r, interpretation)
+            ]
 
 
 def test_matches_gelfond_lifschitz_without_aggregates():
