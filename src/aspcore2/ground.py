@@ -339,12 +339,8 @@ class GroundProgram:
         return "\n".join(lines)
 
 
-def _literal_sort_key(literal: BodyLiteral) -> str:
-    return body_literal_to_text(literal)
-
-
 def _canonical_rule(head: tuple[ClassicalAtom, ...], body: list[BodyLiteral]) -> Rule:
-    return Rule(tuple(head), tuple(sorted(body, key=_literal_sort_key)))
+    return Rule(tuple(head), tuple(sorted(body, key=body_literal_to_text)))
 
 
 # --------------------------------------------------------------------------
@@ -853,7 +849,7 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
             if weight is None or level is None or any(t is None for t in terms):
                 continue
             instance = WeakConstraint(
-                tuple(sorted(state.kept, key=_literal_sort_key)),
+                tuple(sorted(state.kept, key=body_literal_to_text)),
                 weight,
                 level,
                 tuple(terms),
@@ -991,7 +987,7 @@ def _naive_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
             weak, universe, global_variables(weak)
         ):
             instance = WeakConstraint(
-                tuple(sorted(body, key=_literal_sort_key)),
+                tuple(sorted(body, key=body_literal_to_text)),
                 eval_arithmetic(weak.weight, sigma),
                 eval_arithmetic(weak.level, sigma),
                 tuple(eval_arithmetic(t, sigma) for t in weak.terms),

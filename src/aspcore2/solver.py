@@ -204,6 +204,7 @@ class _Checker:
                     rule, head, pos, neg, tuple(aggregates), frozenset(conditions)
                 )
             )
+        self._program_cycles: Optional[tuple[bool, bool]] = None
 
     def _number(self, atom: ClassicalAtom) -> int:
         return self.numbers.setdefault(atom, len(self.numbers))
@@ -227,6 +228,24 @@ class _Checker:
                 (neg if literal.naf else pos).add(self._number(atom))
         return holds, frozenset(pos), frozenset(neg), aggregates
 
+    def _cycles(self) -> tuple[bool, bool]:
+        """Over every rule of the program: whether a condition atom shares
+        a component with a head atom of its rule, and whether two atoms of
+        one head share a component (see `_minimal_by_shifting`).
+
+        A reduct's graph is a subgraph of the program's, so its components
+        refine the program's: a reduct can fail a test only when the
+        program does. Decided on first use, once per checker.
+        """
+        if self._program_cycles is None:
+            rules = [(rule.head, rule.pos, rule.conditions) for rule in self.rules]
+            component = _components(rules)
+            self._program_cycles = (
+                _condition_cycle(rules, component),
+                _head_cycle(rules, component),
+            )
+        return self._program_cycles
+
     def numbered(self, interpretation: Interpretation) -> frozenset[int]:
         """The numbers of an interpretation's atoms. An atom outside the
         program gets a fresh number: a negative one, distinct per atom."""
@@ -247,7 +266,7 @@ class _Checker:
         kept = _holding(self.rules, model)
         if not _heads_met(kept, model):
             raise RuntimeError("internal error: emitted answer set is not a model")
-        minimal = _minimal_by_shifting(
+        minimal = self._minimal_by_shifting(
             [(rule.head & model, rule.pos, rule.conditions) for rule in kept], model
         )
         if minimal is None:
@@ -265,6 +284,39 @@ class _Checker:
             raise RuntimeError(
                 "internal error: emitted answer set is not minimal for its reduct"
             )
+
+    def _minimal_by_shifting(self, rules: list[tuple], model: frozenset) -> Optional[bool]:
+        """Whether a model M is minimal for its reduct, decided by shifting;
+        None when this check cannot decide.
+
+        `rules` are the reduct's rules as (head atoms in M, positive body
+        atoms, aggregate condition atoms): inside M, a kept rule acts as
+        `H & M :- B`. Take the strongly connected components over the edges
+        body atom -> head atom and aggregate condition atom -> head atom of
+        these rules. When no condition atom shares a component with a head
+        atom of its rule, each aggregate reads only atoms below its head,
+        and the naf literals stay true, in every model of the reduct inside
+        M (Lifschitz & Turner 1994). M is then minimal if it is the least
+        model of the shifted reduct, `h :- B+` for each kept rule whose head
+        meets M in `h` alone. If it is not, it is not minimal when also no
+        two atoms of one head share a component (Ben-Eliyahu & Dechter
+        1994), and the check cannot tell otherwise. The reduct's own
+        components are built only for a test the whole program fails
+        (`_cycles`).
+        """
+        component = None
+        if any(conditions for _, _, conditions in rules) and self._cycles()[0]:
+            component = _components(rules)
+            if _condition_cycle(rules, component):
+                return None
+        shifted = [(next(iter(head)), body) for head, body, _ in rules if len(head) == 1]
+        if _least_model(shifted) == model:
+            return True
+        if not self._cycles()[1]:
+            return False
+        if component is None:
+            component = _components(rules)
+        return None if _head_cycle(rules, component) else False
 
 
 def _aggregates_hold(aggregates, model: frozenset[int]) -> bool:
@@ -369,42 +421,19 @@ def _least_model(rules: list[tuple[int, frozenset[int]]]) -> set[int]:
     return derived
 
 
-def _minimal_by_shifting(rules: list[tuple], model: frozenset) -> Optional[bool]:
-    """Whether a model M is minimal for its reduct, decided by shifting;
-    None when this check cannot decide.
+def _condition_cycle(rules, component: dict[int, int]) -> bool:
+    """Whether a condition atom of `rules` shares a component with a head
+    atom of its rule."""
+    return any(
+        component[atom] in {component[h] for h in head}
+        for head, _, conditions in rules
+        for atom in conditions
+    )
 
-    `rules` are the reduct's rules as (head atoms in M, positive body
-    atoms, aggregate condition atoms): inside M, a kept rule acts as
-    `H & M :- B`. Take the strongly connected components over the edges
-    body atom -> head atom and aggregate condition atom -> head atom of
-    these rules. When no condition atom shares a component with a head atom
-    of its rule, each aggregate reads only atoms below its head, and the
-    naf literals stay true, in every model of the reduct inside M
-    (Lifschitz & Turner 1994). M is then minimal if it is the least model
-    of the shifted reduct, `h :- B+` for each kept rule whose head meets M
-    in `h` alone. If it is not, it is not minimal when also no two atoms of
-    one head share a component (Ben-Eliyahu & Dechter 1994), and the check
-    cannot tell otherwise.
-    """
-    # the components are built only when needed: most reducts have no
-    # aggregate, and most answer sets are the least model
-    component = None
-    if any(conditions for _, _, conditions in rules):
-        component = _components(rules)
-        if any(
-            component[atom] in {component[h] for h in head}
-            for head, _, conditions in rules
-            for atom in conditions
-        ):
-            return None
-    shifted = [(next(iter(head)), body) for head, body, _ in rules if len(head) == 1]
-    if _least_model(shifted) == model:
-        return True
-    if component is None:
-        component = _components(rules)
-    if any(len({component[h] for h in head}) < len(head) for head, _, _ in rules):
-        return None
-    return False
+
+def _head_cycle(rules, component: dict[int, int]) -> bool:
+    """Whether two atoms of one head of `rules` share a component."""
+    return any(len({component[h] for h in head}) < len(head) for head, _, _ in rules)
 
 
 def _components(rules) -> dict[int, int]:

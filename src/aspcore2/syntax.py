@@ -1,13 +1,19 @@
 """AST for ASP-Core-2 programs, with the canonical pretty printer.
 
-Every node is a frozen dataclass so terms, atoms and aggregate elements can be
-used as set members and dict keys. Statement nodes carry an optional source
-span that is excluded from structural equality.
+Every node is a slotted dataclass, equal and hashed by value, so terms,
+atoms and aggregate elements can be used as set members and dict keys.
+Statement nodes carry an optional source span that is excluded from
+structural equality. Nodes are immutable by convention: nothing assigns
+to a node's fields once it is built, so a node can be shared between
+programs and its hash never changes. Atoms, body literals and statements
+also keep their canonical text once it has been rendered (`_Rendered`), so
+each is rendered at most once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -28,21 +34,31 @@ class Span(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
+class _Rendered:
+    """Base of the nodes whose canonical text is memoised (`_memoised`).
+
+    `_text` is a slot, not a dataclass field, so it takes no part in
+    equality, hashing or repr; it stays unset until the node is rendered.
+    """
+
+    __slots__ = ("_text",)
+
+
 # --------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntegerConstant:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SymbolicConstant:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringConstant:
     # Content between the quotes, escape sequences retained verbatim.
     value: str
@@ -52,12 +68,12 @@ class StringConstant:
         return self.value.replace('\\"', '"')
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Variable:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AnonymousVariable:
     # Each occurrence stands for a fresh variable; rewriting replaces them
     # positionally with fresh named variables, so none survive desugaring.
@@ -74,7 +90,7 @@ class ArithOp(enum.Enum):
     DIV = "/"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ArithmeticTerm:
     op: ArithOp
     args: tuple["Term", ...]
@@ -85,7 +101,7 @@ class ArithmeticTerm:
             raise ValueError(f"{self.op.name} takes {expected} operand(s)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionalTerm:
     functor: str
     args: tuple["Term", ...]
@@ -129,8 +145,8 @@ INVERTED_RELATION = {
 }
 
 
-@dataclass(frozen=True)
-class ClassicalAtom:
+@dataclass(slots=True, unsafe_hash=True)
+class ClassicalAtom(_Rendered):
     predicate: str
     args: tuple[Term, ...] = ()
     strong_negation: bool = False
@@ -139,15 +155,15 @@ class ClassicalAtom:
         return (self.predicate, len(self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BuiltinAtom:
     left: Term
     relation: Relation
     right: Term
 
 
-@dataclass(frozen=True)
-class NafLiteral:
+@dataclass(slots=True, unsafe_hash=True)
+class NafLiteral(_Rendered):
     atom: Union[ClassicalAtom, BuiltinAtom]
     naf: bool = False
 
@@ -159,7 +175,7 @@ class AggregateFunction(enum.Enum):
     SUM = "#sum"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AggregateElement:
     terms: tuple[Term, ...] = ()
     condition: tuple[NafLiteral, ...] = ()
@@ -168,13 +184,13 @@ class AggregateElement:
     explicit_colon: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Guard:
     term: Term
     relation: Relation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AggregateAtom:
     function: AggregateFunction
     elements: tuple[AggregateElement, ...] = ()
@@ -182,8 +198,8 @@ class AggregateAtom:
     right_guard: Optional[Guard] = None
 
 
-@dataclass(frozen=True)
-class AggregateLiteral:
+@dataclass(slots=True, unsafe_hash=True)
+class AggregateLiteral(_Rendered):
     atom: AggregateAtom
     naf: bool = False
 
@@ -195,21 +211,21 @@ BodyLiteral = Union[NafLiteral, AggregateLiteral]
 # Statements
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChoiceElement:
     atom: ClassicalAtom
     condition: tuple[NafLiteral, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChoiceAtom:
     elements: tuple[ChoiceElement, ...] = ()
     left_guard: Optional[Guard] = None
     right_guard: Optional[Guard] = None
 
 
-@dataclass(frozen=True)
-class Rule:
+@dataclass(slots=True, unsafe_hash=True)
+class Rule(_Rendered):
     # Disjunctive head as a tuple of classical atoms (empty for constraints),
     # or a single choice atom.
     head: Union[tuple[ClassicalAtom, ...], ChoiceAtom]
@@ -223,8 +239,8 @@ class Rule:
         return self.head if isinstance(self.head, tuple) else ()
 
 
-@dataclass(frozen=True)
-class WeakConstraint:
+@dataclass(slots=True, unsafe_hash=True)
+class WeakConstraint(_Rendered):
     body: tuple[BodyLiteral, ...]
     weight: Term
     level: Term
@@ -232,7 +248,7 @@ class WeakConstraint:
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Query:
     atom: ClassicalAtom
     span: Optional[Span] = field(default=None, compare=False)
@@ -241,7 +257,7 @@ class Query:
 Statement = Union[Rule, WeakConstraint, Query]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Program:
     rules: tuple[Rule, ...] = ()
     weak_constraints: tuple[WeakConstraint, ...] = ()
@@ -498,6 +514,20 @@ _BINOP_PREC = {
 }
 
 
+def _memoised(render):
+    """`render` with its result kept in the node's `_text` slot, so that a
+    node's text is computed once however often it is asked for."""
+
+    @functools.wraps(render)
+    def memo(node):
+        text = getattr(node, "_text", None)
+        if text is None:
+            text = node._text = render(node)
+        return text
+
+    return memo
+
+
 def term_to_text(term: Term, parent_prec: int = 0) -> str:
     if isinstance(term, IntegerConstant):
         text = str(term.value)
@@ -529,6 +559,7 @@ def term_to_text(term: Term, parent_prec: int = 0) -> str:
     return text
 
 
+@_memoised
 def classical_atom_to_text(atom: ClassicalAtom) -> str:
     sign = "-" if atom.strong_negation else ""
     name = _render_name(atom.predicate)
@@ -569,6 +600,7 @@ def aggregate_atom_to_text(atom: AggregateAtom) -> str:
     return text
 
 
+@_memoised
 def body_literal_to_text(literal: BodyLiteral) -> str:
     if isinstance(literal, AggregateLiteral):
         text = aggregate_atom_to_text(literal.atom)
@@ -596,6 +628,7 @@ def choice_atom_to_text(atom: ChoiceAtom) -> str:
     return text
 
 
+@_memoised
 def rule_to_text(rule: Rule) -> str:
     body = ", ".join(body_literal_to_text(l) for l in rule.body)
     if isinstance(rule.head, ChoiceAtom):
@@ -607,6 +640,7 @@ def rule_to_text(rule: Rule) -> str:
     return f"{head} :- {body}." if body else f"{head}."
 
 
+@_memoised
 def weak_constraint_to_text(w: WeakConstraint) -> str:
     body = ", ".join(body_literal_to_text(l) for l in w.body)
     tail = f"{term_to_text(w.weight)}@{term_to_text(w.level)}"

@@ -215,6 +215,13 @@ def random_query_program(rng: random.Random) -> tuple[GroundProgram, ClassicalAt
 # Textbook encodings, as program text
 
 
+def reach(n: int) -> str:
+    """The transitive closure of a chain of n edges."""
+    return " ".join(f"edge({i},{i + 1})." for i in range(n)) + """
+reach(X,Y) :- edge(X,Y).
+reach(X,Z) :- reach(X,Y), edge(Y,Z)."""
+
+
 def colouring(k: int, n: int) -> str:
     """k-colouring of an n-cycle, with colours r, g, b, y."""
     facts = [f"node({i}). edge({i},{i % n + 1})." for i in range(1, n + 1)]

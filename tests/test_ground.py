@@ -1,10 +1,12 @@
 """Term order, arithmetic, universe construction, and grounding."""
 
+import hashlib
 import random
 
 import pytest
 
 from aspcore2 import ground as ground_module
+from aspcore2.analysis import check_program
 from aspcore2.errors import BoundExceeded
 from aspcore2.ground import (
     EQUAL,
@@ -38,7 +40,7 @@ from aspcore2.syntax import (
     aggregate_element_to_text,
     term_to_text,
 )
-from generators import random_ground_term
+from generators import colouring, queens, random_ground_term, reach
 
 
 def ground(text, max_int=10, max_nesting=2, naive=False):
@@ -315,8 +317,7 @@ def test_smart_grounding_drops_aggregates_grounded_before_their_atoms(text):
 
 def test_grounding_strips_variables():
     grounded = ground("b(1). b(2). {a(X) : b(X)} >= 1.", max_int=3)
-    for rule in grounded.rules:
-        assert "X" not in grounded.to_text() or True
+    assert "X" not in grounded.to_text()
     assert all(is_ground(arg) for r in grounded.rules for a in r.head_atoms() for arg in a.args)
 
 
@@ -417,11 +418,6 @@ def test_semi_naive_rounds_stop_at_the_same_bound(max_int):
     )
 
 
-def reach_text(n):
-    facts = " ".join(f"edge({i},{i + 1})." for i in range(n))
-    return facts + " reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z)."
-
-
 def unifications(monkeypatch, text):
     """Ground `text`, counting the grounder's unification steps."""
     calls = 0
@@ -439,10 +435,53 @@ def unifications(monkeypatch, text):
 
 
 def test_grounding_work_grows_with_the_ground_program(monkeypatch):
-    small_work, small_rules = unifications(monkeypatch, reach_text(20))
-    large_work, large_rules = unifications(monkeypatch, reach_text(40))
+    small_work, small_rules = unifications(monkeypatch, reach(20))
+    large_work, large_rules = unifications(monkeypatch, reach(40))
     assert (small_rules, large_rules) == (230, 860)
     assert large_work / small_work <= 1.5 * large_rules / small_rules
+
+
+# --------------------------------------------------------------------------
+# The ground text, byte for byte, and the program it came from
+
+# sha256 of `to_text()` at the command line's default bounds; the same
+# values as the small `ground` corpus of perfbench/corpus.py
+GROUND_TEXT_SHA256 = {
+    "reach-6": (reach(6), "df89901d52e70965a43aefd2c58d24a5a9eb6f357635e2031d72b7d813aaf5e1"),
+    "colour3-cycle6": (
+        colouring(3, 6),
+        "b19bfaa406606e9c4385c04f565203de64f7aa11765b019b0990a3c472e26dfc",
+    ),
+    "queens-4": (queens(4), "1cf36039d05d85f51f59c8badbaed4d16305811e5b0ded4e968b8b6279d3d16d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_TEXT_SHA256))
+def test_ground_text_is_pinned(name):
+    text, digest = GROUND_TEXT_SHA256[name]
+    grounded = ground_program(desugar(parse_program(text)), UniverseBounds())
+    assert hashlib.sha256(grounded.to_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        reach(3),
+        colouring(3, 4),
+        queens(4),
+        "a | b. a :- b. b :- a.",
+        "p(1). p(2). {q(X)} :- p(X). r :- #count{X : q(X)} >= 1. :~ q(X). [X@1, X] q(X)?",
+    ],
+)
+def test_the_pipeline_leaves_the_parsed_program_unchanged(text):
+    # desugar shares unchanged statements with its input, and the grounder
+    # and solver share atoms with the program: nothing may assign to a node
+    program = parse_program(text)
+    core = desugar(program)
+    check_program(core)
+    answer_sets(ground_program(core, UniverseBounds(10, 2)))
+    assert program == parse_program(text)
+    assert core == desugar(parse_program(text))
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parser: corpus acceptance/rejection, round-trip stability, AST shape
 spot checks, and agreement with the backtracking parser."""
 
+import dataclasses
 import random
 
 import pytest
@@ -30,10 +31,16 @@ from aspcore2.syntax import (
     Query,
     Relation,
     Rule,
+    Span,
     StringConstant,
     SymbolicConstant,
     Variable,
+    WeakConstraint,
+    body_literal_to_text,
+    classical_atom_to_text,
+    rule_to_text,
     statement_to_text,
+    weak_constraint_to_text,
 )
 
 
@@ -386,3 +393,74 @@ def test_parse_agrees_with_backtracking_oracle():
                 accepted += 1
     # the mutations reach both outcomes often
     assert accepted > 3000 and rejected > 15000, (accepted, rejected)
+
+
+# --------------------------------------------------------------------------
+# Syntax nodes: equal and hashed by value, slotted, each rendered once
+
+
+def test_equality_ignores_span_and_class():
+    first = Rule((ClassicalAtom("p"),), span=Span(0, 2, 1, 1))
+    second = Rule((ClassicalAtom("p"),), span=Span(7, 2, 2, 3))
+    assert first == second and hash(first) == hash(second)
+    assert Variable("X") != SymbolicConstant("X")
+    assert IntegerConstant(1) != StringConstant("1")
+
+
+def _nodes(value):
+    """Every syntax node under `value`, parents before children."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+    elif dataclasses.is_dataclass(value):
+        yield value
+        for field in dataclasses.fields(value):
+            yield from _nodes(getattr(value, field.name))
+
+
+def _twin_statements():
+    """Pairs of equal statement tuples built apart: each grammar corpus
+    source parsed twice, and each random program generated twice from one
+    seed."""
+    for source, _ in ACCEPT:
+        yield parse_program(source).statements(), parse_program(source).statements()
+    for seed in range(60):
+        first, second = (
+            parse_program(random_nonground_program_text(random.Random(seed))).statements()
+            for _ in range(2)
+        )
+        yield first, second
+        first, second = (
+            random_ground_program(random.Random(seed), with_weaks=True) for _ in range(2)
+        )
+        yield first.rules + first.weak_constraints, second.rules + second.weak_constraints
+
+
+def test_equal_nodes_hash_equal_and_have_no_dict():
+    for first, second in _twin_statements():
+        assert first == second
+        for one, other in zip(_nodes(first), _nodes(second), strict=True):
+            assert one == other and hash(one) == hash(other)
+            assert not hasattr(one, "__dict__")
+
+
+MEMOISED = {
+    ClassicalAtom: classical_atom_to_text,
+    NafLiteral: body_literal_to_text,
+    AggregateLiteral: body_literal_to_text,
+    Rule: rule_to_text,
+    WeakConstraint: weak_constraint_to_text,
+}
+
+
+def test_memoised_text_equals_a_fresh_render():
+    for first, second in _twin_statements():
+        rendered = [statement_to_text(s) for s in first]
+        assert [statement_to_text(s) for s in first] == rendered
+        # children before parents, so each node of `second` is rendered from
+        # itself rather than while rendering its parent
+        pairs = list(zip(_nodes(first), _nodes(second), strict=True))
+        for one, other in reversed(pairs):
+            render = MEMOISED.get(type(one))
+            if render is not None:
+                assert render(one) == render(other)
