@@ -3,16 +3,18 @@
 Usage: python3 benchmarks/bench_verify.py [--queens N ...] [--cycles N ...] [--repeats R]
 
 For n-queens (default 8) and 3-colouring n-cycles (default 10 and 12), as
-`tests/generators.py` writes them, each with and without one aggregate
-rule with a head (`full :- #count{X,Y : q(X,Y)} >= 1.` for queens,
-`many :- #count{X : colour(X,r)} >= 2.` for colouring), grounds the
-program once and then times `answer_sets` with `verify=True` and with
-`verify=False` (best of R each). It prints both times and the verify
-share, (verified - unverified) / verified. It exits 1 when a set count
-differs from its closed form: the known number of n-queens solutions, or
-`chromatic(3, n)` proper colourings of the cycle; the aggregate rule adds
-an atom to some sets and removes none, so the counts hold for both
-variants.
+`tests/generators.py` writes them, each plain, with one aggregate rule
+with a head (+agg: `full :- #count{X,Y : q(X,Y)} >= 1.` for queens,
+`many :- #count{X : colour(X,r)} >= 2.` for colouring) and with one
+head-cycle pair that shares no atom with the rest (+pair:
+`x | y. x :- y. y :- x.`), grounds the program once and then times
+`answer_sets` with `verify=True` and with `verify=False` (best of R each).
+It prints both times and the verify share, (verified - unverified) /
+verified. It exits 1 when a set count differs from its closed form: the
+known number of n-queens solutions, or `chromatic(3, n)` proper
+colourings of the cycle; the aggregate rule adds an atom to some sets and
+the pair adds two to every set, and neither removes one, so the counts
+hold for all three variants.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from aspcore2.rewrite import desugar
 from aspcore2.solver import answer_sets
 from generators import colouring, queens
 
+PAIR = " x | y. x :- y. y :- x."
 QUEENS_SOLUTIONS = {1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724}
 
 
@@ -41,10 +44,12 @@ def cases(queen_sizes, cycle_sizes):
     for n in queen_sizes:
         yield f"{n}-queens", queens(n), QUEENS_SOLUTIONS[n]
         yield f"{n}-queens +agg", queens(n) + " full :- #count{X,Y : q(X,Y)} >= 1.", QUEENS_SOLUTIONS[n]
+        yield f"{n}-queens +pair", queens(n) + PAIR, QUEENS_SOLUTIONS[n]
     for n in cycle_sizes:
         yield f"3-colour {n}-cycle", colouring(3, n), chromatic(3, n)
         yield (f"3-colour {n}-cycle +agg",
                colouring(3, n) + " many :- #count{X : colour(X,r)} >= 2.", chromatic(3, n))
+        yield f"3-colour {n}-cycle +pair", colouring(3, n) + PAIR, chromatic(3, n)
 
 
 def best_of(repeats, fn):

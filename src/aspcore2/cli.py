@@ -110,12 +110,13 @@ def _analysis_gate(result: AnalysisResult) -> int:
     return 0 if result.ok else 3
 
 
-def _ground_from_args(args) -> tuple[Program, Optional[int], Optional[GroundProgram]]:
-    """Parse, desugar, gate, and ground per the common flags.
+def _ground_from_args(
+    args, program: Program
+) -> tuple[Program, Optional[int], Optional[GroundProgram]]:
+    """Desugar, gate, and ground a parsed program per the common flags.
 
     Returns (core, failure exit code or None, ground program or None).
     """
-    program = parse_program(_read_input(args.path))
     core = desugar(program)
     status = _analysis_gate(check_program(core))
     if status != 0:
@@ -167,7 +168,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ground(args) -> int:
-    _core, status, ground = _ground_from_args(args)
+    _core, status, ground = _ground_from_args(args, parse_program(_read_input(args.path)))
     if status is not None:
         return status
     rendered = ground.to_text()
@@ -177,7 +178,7 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _core, status, ground = _ground_from_args(args)
+    _core, status, ground = _ground_from_args(args, parse_program(_read_input(args.path)))
     if status is not None:
         return status
     if args.opt:
@@ -199,12 +200,9 @@ def _cmd_query(args) -> int:
     if program.query is None:
         print("error: program contains no query", file=sys.stderr)
         return USAGE_ERROR
-    core = desugar(program)
-    status = _analysis_gate(check_program(core))
-    if status != 0:
+    core, status, ground = _ground_from_args(args, program)
+    if status is not None:
         return status
-    bounds = UniverseBounds(max_int=args.max_int, max_nesting=args.max_nesting)
-    ground = ground_program(core, bounds=bounds, naive=args.naive)
     answer = answer_query(ground, core.query)
     if answer.status == "inconsistent":
         print("INCONSISTENT")

@@ -56,6 +56,7 @@ from .syntax import (
     iter_subterms,
     rule_to_text,
     statement_to_text,
+    statement_variables,
     term_variables,
     term_variables_outside_arithmetic,
     weak_constraint_to_text,
@@ -292,20 +293,15 @@ def build_universe(program: Program, bounds: UniverseBounds) -> list[Term]:
     layer: list[Term] = [IntegerConstant(v) for v in sorted(integers)]
     layer.extend(SymbolicConstant(name) for name in sorted(symbolics))
     layer.extend(StringConstant(value) for value in sorted(strings))
-    universe: list[Term] = list(layer)
+    universe = dict.fromkeys(layer)
     for _ in range(bounds.max_nesting):
         previous = list(universe)
-        new_layer: list[Term] = []
         for functor, arity in sorted(functors):
             for args in itertools.product(previous, repeat=arity):
-                candidate = FunctionalTerm(functor, args)
-                if candidate not in previous:
-                    new_layer.append(candidate)
-        fresh = [t for t in new_layer if t not in universe]
-        if not fresh:
+                universe.setdefault(FunctionalTerm(functor, args))
+        if len(universe) == len(previous):
             break
-        universe.extend(fresh)
-    return sorted(set(universe), key=term_sort_key)
+    return sorted(universe, key=term_sort_key)
 
 
 def check_atom_bounds(atom: ClassicalAtom, bounds: UniverseBounds) -> None:
@@ -971,7 +967,11 @@ def _naive_statement_instances(
 
 
 def _naive_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
-    universe = build_universe(program, bounds)
+    # a program without variables substitutes nothing, so it needs no
+    # universe, which the functors of a desugared choice can make large
+    statements = (*program.rules, *program.weak_constraints)
+    needed = any(map(statement_variables, statements))
+    universe = build_universe(program, bounds) if needed else []
     rules: dict[Rule, None] = {}
     for rule in program.rules:
         if isinstance(rule.head, ChoiceAtom):

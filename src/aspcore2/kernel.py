@@ -8,16 +8,15 @@ lowest open atom; the root propagation decides what the facts decide. A
 total assignment that propagation leaves without a conflict is a model M;
 it is an answer set when no proper subset of M is a model of its reduct,
 the rules whose bodies M satisfies. Minimality is decided exactly for every
-model:
+model, component by component (`cyclic_components`, once per call):
 
-- when the arrays are `stratified`, M must be the least model of its
-  shifted reduct, `h :- B+` for each rule of the reduct whose head meets M
-  in `h` alone. Each aggregate reads only atoms of lower components, so it
-  keeps its truth in every model of the reduct inside M (splitting,
-  Lifschitz & Turner 1994; shifting, Ben-Eliyahu & Dechter 1994);
-- otherwise a second search, with the same propagation over the atoms of
-  M, looks for a model of the reduct that leaves one of them out (the
-  model check of Koch, Leone & Pfeifer, AIJ 2003).
+- M must be the least model of its shifted reduct, `h :- B+` for each rule
+  of the reduct whose head meets M in `h` alone, with M's atoms in cyclic
+  components added as facts (splitting, Lifschitz & Turner 1994; shifting,
+  Ben-Eliyahu & Dechter 1994);
+- for each cyclic component C, a second search with the same propagation
+  looks for a model of the reduct between M - C and M, M excluded (the
+  modular model check of Koch, Leone & Pfeifer, AIJ 2003).
 
 References: Gebser, Kaufmann & Schaub, AIJ 2012; Simons, Niemela &
 Soininen, AIJ 2002.
@@ -339,36 +338,41 @@ class SearchExhausted(CapacityExceeded):
         self.atoms = atoms
 
 
-def stratified(engine: _Fixpoint) -> bool:
-    """Whether the least model of the shifted reduct decides minimality.
-
-    Over the edges body atom -> head atom and aggregate condition atom ->
-    head atom, no two atoms of one head may share a strongly connected
-    component, and no condition atom may share one with a head atom of its
-    rule. A checked program has no recursion through aggregates, so only a
-    head cycle fails it.
+def cyclic_components(engine: _Fixpoint) -> list[int]:
+    """The cyclic components as atom masks: strongly connected over the
+    edges body atom -> head atom and aggregate condition atom -> head atom,
+    and holding two atoms of one head, or a condition atom of a rule with a
+    head atom of that rule. A checked program has no recursion through
+    aggregates, so only a head cycle makes one; with none it is stratified.
     """
-    edges = set()
     headed = []
+    bodies = 0
     for head, pos, _neg, indices in engine.rules:
         if head:
             condition = 0
             for index in indices:
                 condition |= engine.agg_atoms[index]
-            headed.append((head, condition))
-            edges.update((b, h) for b in _bits(pos | condition) for h in _bits(head))
-    vertices = frozenset(v for edge in edges for v in edge)
-    component = {}
-    for number, members in enumerate(DependencyGraph(vertices, frozenset(edges)).components()):
-        for vertex in members:
-            component[vertex] = number
-    for head, condition in headed:
-        heads = [component[h] for h in _bits(head) if h in component]
-        if len(set(heads)) < len(heads) or any(
-            component[c] in heads for c in _bits(condition)
-        ):
-            return False
-    return True
+            headed.append((head, pos | condition, condition))
+            bodies |= pos | condition
+    # only a rule with a condition or two head atoms, one of which some
+    # rule's body reads, can make one; most programs have none
+    if not any(
+        head & bodies and (condition or not _single_bit(head))
+        for head, _, condition in headed
+    ):
+        return []
+    edges = frozenset(
+        (b, h) for head, body, _ in headed for b in _bits(body) for h in _bits(head)
+    )
+    vertices = frozenset(v for head, body, _ in headed for v in _bits(head | body))
+    parts = DependencyGraph(vertices, edges).components()
+    component = {v: number for number, members in enumerate(parts) for v in members}
+    cyclic = set()
+    for head, _, condition in headed:
+        heads = [component[h] for h in _bits(head)]
+        cyclic.update(number for number in heads if heads.count(number) > 1)
+        cyclic.update(component[c] for c in _bits(condition) if component[c] in heads)
+    return [sum(1 << v for v in parts[number]) for number in sorted(cyclic)]
 
 
 def _leaves(engine: _Fixpoint, root, everything: int, spent: list[int], undecided: int):
@@ -400,8 +404,9 @@ def _leaves(engine: _Fixpoint, root, everything: int, spent: list[int], undecide
                 stack.append(branch)
 
 
-def _least_model_is(model: int, flat) -> bool:
-    """Whether `model` is the least model of its shifted reduct."""
+def _least_model_is(model: int, flat, facts: int) -> bool:
+    """Whether `model` is the least model of its shifted reduct with the
+    atoms `facts` added as facts."""
     _, _, rules, *arrays = flat
     # `_body_true` only for rules with aggregates: a call for every rule
     # slowed small searches by a fifth
@@ -412,7 +417,7 @@ def _least_model_is(model: int, flat) -> bool:
         and not (pos & ~model or neg & model)
         and (not count or _body_true(model, (head, pos, neg, start, count), *arrays))
     ]
-    derived = 0
+    derived = facts
     changed = True
     while changed:
         changed = False
@@ -423,19 +428,28 @@ def _least_model_is(model: int, flat) -> bool:
     return derived == model
 
 
-def _smaller_model(model: int, flat, spent: list[int], undecided: int) -> bool:
-    """Whether a proper subset of `model` is a model of its reduct.
-
-    The search runs over the reduct's rules with the atoms outside `model`
-    false, a rule `j :- j` for each atom j of `model` so that support never
-    prunes, and the constraint `:- model`.
-    """
+def _smaller_model(model: int, part: int, flat, spent: list[int], undecided: int) -> bool:
+    """Whether a model of the reduct lies between `model` minus the
+    component `part` and `model`, `model` excluded. Only the reduct's rules
+    with a head that meets `model` inside `part` alone can fail there. The
+    search runs over those, a rule `j :- j` per atom j of `model` in `part`
+    so that support never prunes, and the constraint that leaves one such
+    atom out."""
     size, _, rules, *arrays = flat
-    kept = tuple(rule for rule in rules if _body_true(model, rule, *arrays))
-    loops = tuple((1 << j, 1 << j, 0, 0, 0) for j in _bits(model))
-    engine = _Fixpoint((size, (model,), kept + loops, *arrays))
+    inside = model & part
+    kept = tuple(
+        rule
+        for rule in rules
+        if rule[0] & inside
+        and not rule[0] & model & ~part
+        and _body_true(model, rule, *arrays)
+    )
+    loops = tuple((1 << j, 1 << j, 0, 0, 0) for j in _bits(inside))
+    engine = _Fixpoint((size, (inside,), kept + loops, *arrays))
     everything = (1 << size) - 1
-    root = engine.propagate(0, everything & ~model, (1 << len(engine.rules)) - 1, model)
+    root = engine.propagate(
+        model & ~part, everything & ~model, (1 << len(engine.rules)) - 1, inside
+    )
     return next(_leaves(engine, root, everything, spent, undecided), None) is not None
 
 
@@ -447,16 +461,19 @@ def solve_masks(flat) -> list[int]:
     """
     engine = _Fixpoint(flat)
     everything = (1 << flat[0]) - 1
-    exact = stratified(engine)
+    cyclic = cyclic_components(engine)
+    # the components are disjoint, so their sum is their union
+    cycles = sum(cyclic)
     spent = [0]
     root = engine.propagate(0, 0, (1 << len(engine.rules)) - 1, everything)
     undecided = 0 if root is None else everything & ~(root[0] | root[1])
     return sorted(
         model
         for model in _leaves(engine, root, everything, spent, undecided)
-        if (
-            _least_model_is(model, flat)
-            if exact
-            else not _smaller_model(model, flat, spent, undecided)
+        if _least_model_is(model, flat, model & cycles)
+        and not any(
+            _smaller_model(model, part, flat, spent, undecided)
+            for part in cyclic
+            if model & part
         )
     )

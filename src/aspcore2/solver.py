@@ -9,11 +9,11 @@ Enumeration packs the ground program and searches the packed arrays
 (`kernel`), whose root propagation decides what the facts decide. The
 search decides minimality exactly for every model. Every emitted answer
 set is re-checked against the definitions on the unsimplified ground
-program, by a `_Checker` built once per call: consistency and modelhood
-always, minimality by the shifted reduct at any size when no aggregate
-reads an atom of its own rule's head component, and by a submask sweep of
-up to 12 atoms where that fails or a head cycle leaves the shifted reduct
-undecided.
+program, by a `_Checker` built once per call: consistency, modelhood and
+minimality, the last component by component as the search decides it, but
+on the checker's own numbered rules. Only a cyclic component that holds
+more than COMPONENT_LIMIT atoms of a set leaves its part of the check
+undone.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ from .syntax import (
 )
 
 Interpretation = frozenset[ClassicalAtom]
+
+# The most atoms of an answer set in one cyclic component whose subsets the
+# verifier tries; a larger part of a set is left unchecked (2^12 subsets).
+COMPONENT_LIMIT = 12
 
 
 class _Infinity:
@@ -159,7 +163,7 @@ class _NumberedRule(NamedTuple):
     # (naf, aggregate atom, its distinct element tuples, (tuple index, pos,
     # neg) per element that can hold)
     aggregates: tuple[tuple[bool, AggregateAtom, tuple, tuple], ...]
-    # every atom of an aggregate condition, for the components of shifting
+    # every atom of an aggregate condition, for the cyclic components
     conditions: frozenset[int]
 
 
@@ -204,7 +208,7 @@ class _Checker:
                     rule, head, pos, neg, tuple(aggregates), frozenset(conditions)
                 )
             )
-        self._program_cycles: Optional[tuple[bool, bool]] = None
+        self._cyclic: Optional[list[frozenset[int]]] = None
 
     def _number(self, atom: ClassicalAtom) -> int:
         return self.numbers.setdefault(atom, len(self.numbers))
@@ -228,23 +232,33 @@ class _Checker:
                 (neg if literal.naf else pos).add(self._number(atom))
         return holds, frozenset(pos), frozenset(neg), aggregates
 
-    def _cycles(self) -> tuple[bool, bool]:
-        """Over every rule of the program: whether a condition atom shares
-        a component with a head atom of its rule, and whether two atoms of
-        one head share a component (see `_minimal_by_shifting`).
-
-        A reduct's graph is a subgraph of the program's, so its components
-        refine the program's: a reduct can fail a test only when the
-        program does. Decided on first use, once per checker.
-        """
-        if self._program_cycles is None:
-            rules = [(rule.head, rule.pos, rule.conditions) for rule in self.rules]
-            component = _components(rules)
-            self._program_cycles = (
-                _condition_cycle(rules, component),
-                _head_cycle(rules, component),
-            )
-        return self._program_cycles
+    def _cyclic_components(self) -> list[frozenset[int]]:
+        """The program's cyclic components: strongly connected over the
+        edges body atom -> head atom and condition atom -> head atom, and
+        holding two atoms of one head, or a condition atom of a rule with a
+        head atom of that rule. Decided on first use, once per checker."""
+        if self._cyclic is None:
+            self._cyclic = []
+            rules = self.rules
+            # only a rule with a condition or two head atoms can make one
+            if any(len(rule.head) > 1 or rule.conditions for rule in rules):
+                edges = frozenset(
+                    (b, h)
+                    for rule in rules
+                    for b in rule.pos | rule.conditions
+                    for h in rule.head
+                )
+                atoms = frozenset().union(*(r.head | r.pos | r.conditions for r in rules))
+                parts = DependencyGraph(atoms, edges).components()
+                component = {atom: part for part in parts for atom in part}
+                cyclic: dict[frozenset[int], None] = {}
+                for rule in rules:
+                    heads = [component[h] for h in rule.head]
+                    for part in heads:
+                        if heads.count(part) > 1 or not part.isdisjoint(rule.conditions):
+                            cyclic[part] = None
+                self._cyclic = list(cyclic)
+        return self._cyclic
 
     def numbered(self, interpretation: Interpretation) -> frozenset[int]:
         """The numbers of an interpretation's atoms. An atom outside the
@@ -255,68 +269,52 @@ class _Checker:
         )
 
     def verify_answer_set(self, interpretation: Interpretation) -> None:
-        """Post-hoc reference check of one emitted answer set: consistent,
-        a model, and minimal for its reduct. Minimality is decided by
-        shifting (`_minimal_by_shifting`), and otherwise by a submask sweep
-        up to 12 atoms; above 12 atoms it stays unchecked when shifting
-        cannot decide it."""
+        """Post-hoc reference check of one emitted answer set M: consistent,
+        a model, and minimal for its reduct. M is minimal exactly when it is
+        the least model of its shifted reduct with its atoms in cyclic
+        components as facts, and for each cyclic component C no N with
+        M - C <= N < M is a model of the reduct (Koch, Leone & Pfeifer, AIJ
+        2003). The second test tries every subset of M's atoms in C, but
+        skips a C that holds more than COMPONENT_LIMIT of them."""
         if not _is_consistent(interpretation):
             raise RuntimeError("internal error: inconsistent answer set emitted")
         model = self.numbered(interpretation)
         kept = _holding(self.rules, model)
         if not _heads_met(kept, model):
             raise RuntimeError("internal error: emitted answer set is not a model")
-        minimal = self._minimal_by_shifting(
-            [(rule.head & model, rule.pos, rule.conditions) for rule in kept], model
-        )
-        if minimal is None:
-            if len(model) > 12:
-                return
-            atoms = tuple(model)
-            minimal = not any(
-                _heads_met(_holding(kept, subset), subset)
-                for subset in (
-                    frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-                    for mask in range((1 << len(atoms)) - 1)
-                )
-            )
-        if not minimal:
+        parts = [model & part for part in self._cyclic_components()]
+        facts = [(atom, frozenset()) for part in parts for atom in part]
+        shifted = [
+            (next(iter(head)), rule.pos)
+            for rule in kept
+            if len(head := rule.head & model) == 1
+        ]
+        if _least_model(shifted + facts) != model or any(
+            _smaller_model(kept, model, part)
+            for part in parts
+            if 0 < len(part) <= COMPONENT_LIMIT
+        ):
             raise RuntimeError(
                 "internal error: emitted answer set is not minimal for its reduct"
             )
 
-    def _minimal_by_shifting(self, rules: list[tuple], model: frozenset) -> Optional[bool]:
-        """Whether a model M is minimal for its reduct, decided by shifting;
-        None when this check cannot decide.
 
-        `rules` are the reduct's rules as (head atoms in M, positive body
-        atoms, aggregate condition atoms): inside M, a kept rule acts as
-        `H & M :- B`. Take the strongly connected components over the edges
-        body atom -> head atom and aggregate condition atom -> head atom of
-        these rules. When no condition atom shares a component with a head
-        atom of its rule, each aggregate reads only atoms below its head,
-        and the naf literals stay true, in every model of the reduct inside
-        M (Lifschitz & Turner 1994). M is then minimal if it is the least
-        model of the shifted reduct, `h :- B+` for each kept rule whose head
-        meets M in `h` alone. If it is not, it is not minimal when also no
-        two atoms of one head share a component (Ben-Eliyahu & Dechter
-        1994), and the check cannot tell otherwise. The reduct's own
-        components are built only for a test the whole program fails
-        (`_cycles`).
-        """
-        component = None
-        if any(conditions for _, _, conditions in rules) and self._cycles()[0]:
-            component = _components(rules)
-            if _condition_cycle(rules, component):
-                return None
-        shifted = [(next(iter(head)), body) for head, body, _ in rules if len(head) == 1]
-        if _least_model(shifted) == model:
-            return True
-        if not self._cycles()[1]:
-            return False
-        if component is None:
-            component = _components(rules)
-        return None if _head_cycle(rules, component) else False
+def _smaller_model(
+    kept: list[_NumberedRule], model: frozenset[int], part: frozenset[int]
+) -> bool:
+    """Whether some N with model - part <= N < model is a model of the
+    reduct `kept`, trying every subset of `part`. Only the rules whose head
+    meets `model` inside `part` alone can fail in such an N."""
+    rules = [rule for rule in kept if rule.head & model <= part]
+    atoms = tuple(part)
+    rest = model - part
+    return any(
+        _heads_met(_holding(rules, subset), subset)
+        for subset in (
+            rest | {a for i, a in enumerate(atoms) if mask >> i & 1}
+            for mask in range((1 << len(atoms)) - 1)
+        )
+    )
 
 
 def _aggregates_hold(aggregates, model: frozenset[int]) -> bool:
@@ -419,39 +417,6 @@ def _least_model(rules: list[tuple[int, frozenset[int]]]) -> set[int]:
             if missing[index] == 0:
                 queue.append(rules[index][0])
     return derived
-
-
-def _condition_cycle(rules, component: dict[int, int]) -> bool:
-    """Whether a condition atom of `rules` shares a component with a head
-    atom of its rule."""
-    return any(
-        component[atom] in {component[h] for h in head}
-        for head, _, conditions in rules
-        for atom in conditions
-    )
-
-
-def _head_cycle(rules, component: dict[int, int]) -> bool:
-    """Whether two atoms of one head of `rules` share a component."""
-    return any(len({component[h] for h in head}) < len(head) for head, _, _ in rules)
-
-
-def _components(rules) -> dict[int, int]:
-    """The strongly connected component of each atom of `rules`, given as
-    (head, positive body, condition atoms), over the edges body atom ->
-    head atom and condition atom -> head atom."""
-    atoms = frozenset().union(*(head | body | conditions for head, body, conditions in rules))
-    edges = frozenset(
-        (b, h)
-        for head, body, conditions in rules
-        for b in body | conditions
-        for h in head
-    )
-    return {
-        atom: number
-        for number, members in enumerate(DependencyGraph(atoms, edges).components())
-        for atom in members
-    }
 
 
 def _largest_predicates(atoms: Iterable[ClassicalAtom]) -> str:

@@ -361,6 +361,24 @@ def test_naive_grounding_over_its_budget_exits_4():
     assert "instance budget" in done.stderr and "S, X" in done.stderr
 
 
+def test_naive_grounding_of_a_variable_free_choice_ends():
+    # desugaring puts three unary functors into the program, whose
+    # universe at the default bounds holds 242,121 terms; with no variable
+    # to substitute, the naive grounder needs none of them
+    done = subprocess.run(
+        [sys.executable, "-m", "aspcore2", "ground", "--naive"],
+        input="{a; b; -c}.", capture_output=True, text=True, timeout=30, env=CHILD_ENV,
+    )
+    assert done.returncode == 0
+    assert done.stdout == (
+        "-c | __aux_c_2(0).\n"
+        ":- not #count{__aux_a_0(1) : a; __aux_b_1(1) : b; __aux_c_2(0) : -c} >= 0.\n"
+        "a | __aux_a_0(1).\n"
+        "b | __aux_b_1(1).\n"
+    )
+    assert done.stderr == ""
+
+
 def test_solve_opt_prints_costs(capsys, tmp_path):
     path = source(tmp_path, "a | b. :~ a. [1@0] :~ b. [2@0]")
     code, out, _err = run(capsys, "solve", "--opt", path)
@@ -447,6 +465,12 @@ def test_query_without_query_is_usage_error(capsys, tmp_path):
     code, _out, err = run(capsys, "query", path)
     assert code == 64
     assert "no query" in err
+
+
+def test_query_without_query_exits_before_analysis(capsys, tmp_path):
+    # the unsafe fact would end analysis in exit 3
+    path = source(tmp_path, "p(X).")
+    assert run(capsys, "query", path) == (64, "", "error: program contains no query\n")
 
 
 def test_query_with_no_common_answers_prints_nothing(capsys, tmp_path):

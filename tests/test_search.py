@@ -21,7 +21,7 @@ from generators import (
     random_ground_program,
     random_query_program,
 )
-from oracles import oracle_answer_sets
+from oracles import oracle_answer_sets, program_atoms
 
 
 def ground(text):
@@ -117,7 +117,8 @@ def packed_engine(program):
 
 
 def test_head_cycle_goes_through_the_smaller_model_search():
-    assert not kernel.stratified(packed_engine(ground("a | b. a :- b. b :- a.")))
+    engine = packed_engine(ground("a | b. a :- b. b :- a."))
+    assert kernel.cyclic_components(engine) == [0b11]
     (model,) = answer_sets(ground("a | b. a :- b. b :- a."))
     assert model == {ClassicalAtom("a"), ClassicalAtom("b")}
 
@@ -127,7 +128,7 @@ def test_aggregate_over_its_own_head_has_no_answer_set():
     # rule supports: a search that lets support prune, or a stratification
     # that lets a condition atom share its head's component, emits {a, b}
     program = ground("b :- #count{1:a; 2:b} != 1. a :- b.")
-    assert not kernel.stratified(packed_engine(program))
+    assert kernel.cyclic_components(packed_engine(program))
     assert kernel.solve_masks(pack_program(program).flat()) == []
     assert answer_sets(program) == ()
     assert oracle_answer_sets(program.rules) == set()
@@ -138,7 +139,7 @@ def test_aggregate_that_its_head_supports_does_not_support_the_head():
     # a -> b: without it, {a, b} passes as the least model of its shifted
     # reduct, though {} is a smaller model of the reduct
     program = ground("b :- #count{1:a} >= 1. a :- b.")
-    assert not kernel.stratified(packed_engine(program))
+    assert kernel.cyclic_components(packed_engine(program))
     assert kernel.solve_masks(pack_program(program).flat()) == [0]
     assert answer_sets(program) == (frozenset(),)
     assert oracle_answer_sets(program.rules) == {frozenset()}
@@ -217,7 +218,7 @@ def test_head_cycle_free_program_needs_no_sweep(monkeypatch):
     # every model of a head-cycle-free program is decided by its shifted
     # reduct, without a search for a smaller model
     monkeypatch.setattr(kernel, "_smaller_model", None)
-    assert kernel.stratified(packed_engine(ground(colouring(3, 6))))
+    assert not kernel.cyclic_components(packed_engine(ground(colouring(3, 6))))
     assert len(answer_sets(ground(colouring(3, 6)))) == 66
 
 
@@ -274,13 +275,48 @@ def test_layered_aggregates_match_the_oracle():
     for _ in range(2000):
         rules = layered_program(rng)
         program = GroundProgram(tuple(rules))
-        if kernel.stratified(packed_engine(program)):
+        if not kernel.cyclic_components(packed_engine(program)):
             stratified += 1
         else:
             searched += 1
         got = {frozenset(s) for s in answer_sets(program, project=False)}
         assert got == oracle_answer_sets(rules)
     assert stratified > 1000 and searched > 100
+
+
+def with_head_cycle_pairs(rng, program):
+    """`program` with one or two pairs `x | y :- L. x :- y. y :- x.` merged
+    in: y is sometimes one of the program's atoms, L an optional literal
+    over them, and a program atom sometimes depends on x."""
+    atoms = program_atoms(program.rules) or [ClassicalAtom("a")]
+    rules = list(program.rules)
+    for i in range(rng.randint(1, 2)):
+        x = ClassicalAtom(f"x{i}")
+        y = rng.choice(atoms) if rng.random() < 0.3 else ClassicalAtom(f"y{i}")
+        guard = tuple(
+            NafLiteral(rng.choice(atoms), naf=rng.random() < 0.5)
+            for _ in range(rng.randint(0, 1))
+        )
+        rules += [Rule((x, y), guard), Rule((x,), (NafLiteral(y),))]
+        rules.append(Rule((y,), (NafLiteral(x),)))
+        if rng.random() < 0.5:
+            rules.append(Rule((rng.choice(atoms),), (NafLiteral(x),)))
+    rng.shuffle(rules)
+    return GroundProgram(tuple(rules))
+
+
+def test_programs_with_head_cycle_pairs_match_the_oracle():
+    # the search and the verifier decide minimality per cyclic component
+    rng = random.Random(59)
+    cyclic = 0
+    for _ in range(400):
+        program = with_head_cycle_pairs(
+            rng, random_ground_program(rng, atom_count=rng.randint(3, 6))
+        )
+        cyclic += bool(kernel.cyclic_components(packed_engine(program)))
+        got = {frozenset(s) for s in answer_sets(program, project=False)}
+        assert got == oracle_answer_sets(program.rules)
+    assert cyclic > 300
 
 
 def test_node_budget_ends_in_capacity_exceeded(monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from aspcore2 import kernel
+from aspcore2 import kernel, solver
 from aspcore2._packed import pack_program
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
@@ -36,7 +36,7 @@ from aspcore2.syntax import (
     is_aux_name,
     make_aux_name,
 )
-from generators import random_ground_program
+from generators import colouring, random_ground_program
 from oracles import (
     gl_answer_sets,
     oracle_answer_sets,
@@ -347,6 +347,62 @@ def test_verification_rejects_a_large_non_minimal_set_with_an_aggregate(monkeypa
 
 
 @pytest.mark.parametrize(
+    "text, facts, size",
+    [
+        # a head cycle: {q} and the facts are a smaller model of the reduct
+        ("p | q. q :- p. p :- q, r. r :- p.", 11, 14),
+        # a recursive aggregate: {a} and the facts are a smaller model
+        ("b :- #count{1:a; 2:b} != 1. a :- b.", 18, 20),
+    ],
+)
+def test_verification_rejects_a_large_non_minimal_set_in_a_cyclic_component(
+    monkeypatch, text, facts, size
+):
+    # the atoms of one cyclic component are few, however large the set
+    program = ground(" ".join(f"f{i}." for i in range(facts)) + " " + text)
+    monkeypatch.setattr(kernel, "solve_masks", lambda flat: [(1 << flat[0]) - 1])
+    assert len(answer_sets(program, verify=False)[0]) == size
+    with pytest.raises(RuntimeError, match="not minimal"):
+        answer_sets(program)
+
+
+@pytest.mark.parametrize(
+    "text, chosen",
+    [
+        # the lower component {a, b} is not minimal: {a, e, p, q} is a
+        # smaller model of the reduct, and {p, q} above it is minimal
+        ("a | b. a :- b. b :- a, d. d | e. p | q :- a. p :- q. q :- p.", "abepq"),
+        # the upper component {p, q, r} is not minimal: {a, b, q} is a
+        # smaller model of the reduct, and {a, b} below it is minimal
+        ("a | b. a :- b. b :- a. p | q :- a. q :- p. p :- q, r. r :- p.", "abpqr"),
+    ],
+)
+def test_verification_checks_every_cyclic_component(text, chosen):
+    program = ground(text)
+    interpretation = frozenset(atom(name) for name in chosen)
+    assert interpretation not in oracle_answer_sets(program.rules)
+    assert len(_Checker(program)._cyclic_components()) == 2
+    with pytest.raises(RuntimeError, match="not minimal"):
+        _Checker(program).verify_answer_set(interpretation)
+
+
+def test_every_colouring_with_a_pair_gets_its_minimality_checked(monkeypatch):
+    # every set has 45 atoms, auxiliary atoms included, but only two in the
+    # pair's component
+    checked = []
+
+    def smaller_model(kept, model, part):
+        checked.append(len(part))
+        return original(kept, model, part)
+
+    original = solver._smaller_model
+    monkeypatch.setattr(solver, "_smaller_model", smaller_model)
+    sets = solve(colouring(3, 8) + " x | y. x :- y. y :- x.")
+    assert len(sets) == 258 and min(map(len, sets)) > 12
+    assert checked == [2] * 258
+
+
+@pytest.mark.parametrize(
     "text", ["b :- #count{1:a; 2:b} != 1. a :- b.", "b :- #count{1:a} >= 1. a :- b."]
 )
 def test_verification_rejects_a_non_minimal_set_of_a_recursive_aggregate(monkeypatch, text):
@@ -414,7 +470,8 @@ def test_matches_oracle_on_random_ground_programs():
 
 def test_checker_accepts_exactly_the_oracle_answer_sets():
     # every subset of the program's atoms, with aggregates and builtins;
-    # at most 8 atoms, so the submask sweep decides what shifting cannot
+    # at most 8 atoms, so no cyclic component holds more than
+    # COMPONENT_LIMIT atoms of a set
     rng = random.Random(29)
     outside = atom("z")
     for _ in range(400):
