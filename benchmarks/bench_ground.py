@@ -3,11 +3,13 @@
 Usage: python3 benchmarks/bench_ground.py [--repeats R]
 
 For reach-40 (the transitive closure of a 40-edge chain), 3-colouring a
-60-cycle and 8-queens, as `tests/generators.py` writes them, desugars the
-program once and then times `ground_program` and `GroundProgram.to_text`
-(best of R each, each `to_text` on a freshly grounded program, so that no
-text computed by an earlier call is reused). It prints both times, the
-ground rules and the text's size. It exits 1 when the sha256 of a text
+60-cycle and 8-queens, as `tests/generators.py` writes them, and for
+patterns-60, whose body atoms hold a functional and an arithmetic pattern
+(matched by unification rather than by the join plan's argument actions),
+it desugars the program once and then times `ground_program` and
+`GroundProgram.to_text` (best of R each, each `to_text` on a freshly
+grounded program, so that no text computed by an earlier call is reused).
+It prints both times, the ground rules and the text's size. It exits 1 when the sha256 of a text
 differs from its pin: the ground text is the same byte for byte at every
 commit.
 """
@@ -31,12 +33,24 @@ TEXT_SHA256 = {
     "reach-40": "5f34bc10aec82cb1ad129877fff2847d5270d16731fef5c7086a7aa91966288a",
     "3-colour 60-cycle": "a9d0e13dca07397d48eee8260960a1864a2d76d1a5191d38bdf6b2f56781415e",
     "8-queens": "117d77558befdbd0e83ccb300f06866fb1dc9cfe1a29584d7123f95660dbb5dc",
+    "patterns-60": "3f93dfa46d339b4c58f7030bbe6f0721514c09eda504268103462599a042234d",
 }
+
+
+def patterns(n):
+    """n items f(i,g(i mod 7)) and n values, joined through a functional
+    pattern and through an arithmetic one whose variable is bound later."""
+    facts = " ".join(f"item(f({i},g({i % 7}))). val({i})." for i in range(n))
+    return facts + """
+pair(X,Y) :- item(f(X,g(Y))), val(Y).
+next(X) :- val(X+1), val(X)."""
+
 
 CASES = (
     ("reach-40", reach(40)),
     ("3-colour 60-cycle", colouring(3, 60)),
     ("8-queens", queens(8)),
+    ("patterns-60", patterns(60)),
 )
 
 

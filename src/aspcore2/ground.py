@@ -3,16 +3,19 @@
 Provides the total order on ground terms, arithmetic evaluation with an
 explicit `undefined` outcome, well-formedness of substitutions, aggregate
 element instantiation, and two grounders: a bottom-up one restricted to
-potentially derivable atoms (component by component, semi-naive, with
-argument-indexed joins), and a naive one enumerating every substitution over
-the bounded universe (the literal definition, kept for differential testing).
+potentially derivable atoms (component by component, semi-naive, each body
+joined by a plan made once per call over argument-indexed atoms), and a naive
+one enumerating every substitution over the bounded universe (the literal
+definition, kept for differential testing).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .analysis import (
     Signature,
@@ -56,7 +59,6 @@ from .syntax import (
     iter_subterms,
     rule_to_text,
     statement_to_text,
-    statement_variables,
     term_variables,
     term_variables_outside_arithmetic,
     weak_constraint_to_text,
@@ -98,60 +100,26 @@ def term_depth(term: Term) -> int:
     return 0
 
 
-def _class_rank(term: Term) -> int:
-    if isinstance(term, IntegerConstant):
-        return 0
-    if isinstance(term, SymbolicConstant):
-        return 1
-    if isinstance(term, StringConstant):
-        return 2
-    if isinstance(term, FunctionalTerm):
-        return 3
-    raise TypeError(f"not a ground term: {term!r}")
-
-
-def term_compare(t: Term, u: Term) -> int:
-    """Three-way comparison under the total order on ground terms.
-
-    Integers numerically, then symbolic constants, then string constants
-    (both lexicographically within their class), then functional terms by
-    arity, functor, and arguments left to right.
-    """
-    rank_t, rank_u = _class_rank(t), _class_rank(u)
-    if rank_t != rank_u:
-        return LESS if rank_t < rank_u else GREATER
-
-    def cmp(a, b) -> int:
-        return LESS if a < b else GREATER if a > b else EQUAL
-
-    if isinstance(t, IntegerConstant):
-        return cmp(t.value, u.value)
-    if isinstance(t, SymbolicConstant):
-        return cmp(t.name, u.name)
-    if isinstance(t, StringConstant):
-        return cmp(t.content(), u.content())
-    result = cmp(len(t.args), len(u.args))
-    if result != EQUAL:
-        return result
-    result = cmp(t.functor, u.functor)
-    if result != EQUAL:
-        return result
-    for arg_t, arg_u in zip(t.args, u.args):
-        result = term_compare(arg_t, arg_u)
-        if result != EQUAL:
-            return result
-    return EQUAL
-
-
 def term_sort_key(term: Term):
-    """A sort key consistent with term_compare (strings order by content)."""
+    """The key of a ground term in the total order: integers numerically,
+    then symbolic constants, then string constants (both lexicographically
+    within their class, strings by content), then functional terms by arity,
+    functor, and arguments left to right."""
     if isinstance(term, IntegerConstant):
         return (0, term.value)
     if isinstance(term, SymbolicConstant):
         return (1, term.name)
     if isinstance(term, StringConstant):
         return (2, term.content())
-    return (3, len(term.args), term.functor, tuple(term_sort_key(a) for a in term.args))
+    if isinstance(term, FunctionalTerm):
+        return (3, len(term.args), term.functor, tuple(term_sort_key(a) for a in term.args))
+    raise TypeError(f"not a ground term: {term!r}")
+
+
+def term_compare(t: Term, u: Term) -> int:
+    """Three-way comparison under the total order on ground terms."""
+    key_t, key_u = term_sort_key(t), term_sort_key(u)
+    return LESS if key_t < key_u else GREATER if key_t > key_u else EQUAL
 
 
 # --------------------------------------------------------------------------
@@ -245,17 +213,9 @@ def _global_terms(statement: Statement) -> Iterator[Term]:
             yield from atom_terms(literal.atom)
 
 
-def is_well_formed(
-    target: Union[Statement, AggregateElement],
-    sigma: Substitution,
-    scope: str = "global",
-) -> bool:
-    """True iff every arithmetic subterm in the scope evaluates (no division
+def is_well_formed(terms: Iterable[Term], sigma: Substitution) -> bool:
+    """True iff every arithmetic subterm of the terms evaluates (no division
     by zero, no symbolic operands) under the substitution."""
-    if scope == "element":
-        terms: Iterable[Term] = iter_element_terms(target)
-    else:
-        terms = _global_terms(target)
     return all(eval_arithmetic(term, sigma) is not None for term in terms)
 
 
@@ -304,9 +264,35 @@ def build_universe(program: Program, bounds: UniverseBounds) -> list[Term]:
     return sorted(universe, key=term_sort_key)
 
 
+class _LazyUniverse:
+    """The terms of build_universe, built when the first is drawn. `size`
+    counts them in closed form, so that a budget can refuse the universe
+    unbuilt: each nesting layer holds the constants and, for each functor
+    f/n, f applied to every n terms of the layer below."""
+
+    def __init__(self, program: Program, bounds: UniverseBounds) -> None:
+        self.program, self.bounds = program, bounds
+        integers, symbolics, strings, functors = program_constants(program)
+        integers.update(range(-bounds.max_int, bounds.max_int + 1))
+        base = self.size = len(integers) + len(symbolics) + len(strings)
+        for _ in range(bounds.max_nesting if functors else 0):
+            self.size = base + sum(self.size**arity for _, arity in functors)
+
+    @functools.cached_property
+    def terms(self) -> list[Term]:
+        return build_universe(self.program, self.bounds)
+
+    def __iter__(self) -> Iterator[Term]:
+        return iter(self.terms)
+
+
 def check_atom_bounds(atom: ClassicalAtom, bounds: UniverseBounds) -> None:
     """Raise BoundExceeded if a derived atom leaves the declared universe."""
     for arg in atom.args:
+        if isinstance(arg, (SymbolicConstant, StringConstant)) or (
+            isinstance(arg, IntegerConstant) and abs(arg.value) <= bounds.max_int
+        ):
+            continue
         for sub in iter_subterms(arg):
             if isinstance(sub, IntegerConstant) and abs(sub.value) > bounds.max_int:
                 raise BoundExceeded(
@@ -335,90 +321,79 @@ class GroundProgram:
         return "\n".join(lines)
 
 
-def _canonical_rule(head: tuple[ClassicalAtom, ...], body: list[BodyLiteral]) -> Rule:
+def _canonical_rule(head: tuple[ClassicalAtom, ...], body: Iterable[BodyLiteral]) -> Rule:
     return Rule(tuple(head), tuple(sorted(body, key=body_literal_to_text)))
 
 
 # --------------------------------------------------------------------------
-# Join engine over partially ground bodies
+# Join plans over partially ground bodies
 #
-# A state is a substitution plus the ground literals kept so far and delayed
+# A state is a substitution, the ground literals kept so far, and delayed
 # arithmetic match constraints (pattern, expected) awaiting their variables.
+# A plan joins a body for one set of initially bound variables: one step per
+# literal, in the order the literals become ready, each a function from the
+# states before its literal to the states after it. Whatever depends only on
+# which variables are bound is worked out once, when the plan is made.
+
+_Step = Callable[[list, Optional["_AtomIndex"]], list]
+_Instances = list[tuple[Substitution, tuple[BodyLiteral, ...]]]
 
 
-@dataclass
-class _State:
-    sigma: Substitution
-    kept: list[BodyLiteral]
-    delayed: list[tuple[Term, Term]]
-
-    def clone(self) -> "_State":
-        return _State(dict(self.sigma), list(self.kept), list(self.delayed))
-
-
-def _aggregate_vars(literal: AggregateLiteral) -> tuple[set[str], set[str]]:
-    """(guard variables, element variables) of an aggregate literal."""
-    guard_vars: set[str] = set()
-    for guard in (literal.atom.left_guard, literal.atom.right_guard):
-        if guard is not None:
-            guard_vars |= term_variables(guard.term)
-    element_vars: set[str] = set()
-    for element in literal.atom.elements:
-        for term in iter_element_terms(element):
-            element_vars |= term_variables(term)
-    return guard_vars, element_vars
-
-
-def _unify(pattern: Term, value: Term, state: _State) -> bool:
+def _unify(pattern: Term, value: Term, sigma: Substitution, delayed: list) -> bool:
     """Match a possibly nonground pattern against a ground term, binding
-    variables; arithmetic subpatterns become delayed equality checks."""
+    variables in `sigma`; arithmetic subpatterns become delayed equality
+    checks."""
     if isinstance(pattern, Variable):
-        bound = state.sigma.get(pattern.name)
+        bound = sigma.get(pattern.name)
         if bound is None:
-            state.sigma[pattern.name] = value
+            sigma[pattern.name] = value
             return True
         return bound == value
     if isinstance(pattern, ArithmeticTerm):
-        state.delayed.append((pattern, value))
+        delayed.append((pattern, value))
         return True
     if isinstance(pattern, FunctionalTerm):
         return (
             isinstance(value, FunctionalTerm)
             and value.functor == pattern.functor
             and len(value.args) == len(pattern.args)
-            and all(_unify(p, v, state) for p, v in zip(pattern.args, value.args))
+            and all(_unify(p, v, sigma, delayed) for p, v in zip(pattern.args, value.args))
         )
     return pattern == value
 
 
-def _resolve_delayed(state: _State) -> bool:
-    remaining: list[tuple[Term, Term]] = []
-    for pattern, expected in state.delayed:
-        if term_variables(pattern) <= state.sigma.keys():
-            value = eval_arithmetic(pattern, state.sigma)
+def _resolve_delayed(sigma: Substitution, delayed: Iterable) -> Optional[list]:
+    """The delayed checks whose variables are not all bound yet, or None when
+    a check that can be decided fails."""
+    remaining = []
+    for pattern, expected in delayed:
+        if term_variables(pattern) <= sigma.keys():
+            value = eval_arithmetic(pattern, sigma)
             if value is None or value != expected:
-                return False
+                return None
         else:
             remaining.append((pattern, expected))
-    state.delayed = remaining
-    return True
+    return remaining
+
+
+def _extend(sigma: Substitution, delayed: Iterable, pairs: Iterable) -> Optional[tuple]:
+    """A copy of `sigma` under which each (pattern, value) pair matches, with
+    the delayed checks still open; None when a match or a check fails."""
+    sigma, delayed = dict(sigma), list(delayed)
+    if all(_unify(pattern, value, sigma, delayed) for pattern, value in pairs):
+        delayed = _resolve_delayed(sigma, delayed)
+        if delayed is not None:
+            return sigma, delayed
+    return None
 
 
 def match_atom(pattern: ClassicalAtom, atom: ClassicalAtom) -> Optional[Substitution]:
     """The substitution under which the possibly nonground `pattern` equals
     the ground `atom`, or None when there is none."""
-    if (
-        pattern.predicate != atom.predicate
-        or pattern.strong_negation != atom.strong_negation
-        or len(pattern.args) != len(atom.args)
-    ):
+    if atom_signature(pattern) != atom_signature(atom):
         return None
-    state = _State({}, [], [])
-    if not all(_unify(p, v, state) for p, v in zip(pattern.args, atom.args)):
-        return None
-    if _resolve_delayed(state) and not state.delayed:
-        return state.sigma
-    return None
+    matched = _extend({}, (), zip(pattern.args, atom.args))
+    return None if matched is None or matched[1] else matched[0]
 
 
 def relation_holds(comparison: int, relation: Relation) -> bool:
@@ -438,39 +413,53 @@ def relation_holds(comparison: int, relation: Relation) -> bool:
 
 
 def builtin_truth(left: Term, relation: Relation, right: Term) -> bool:
+    if type(left) is IntegerConstant and type(right) is IntegerConstant:
+        a, b = left.value, right.value
+        return relation_holds(LESS if a < b else GREATER if a > b else EQUAL, relation)
     return relation_holds(term_compare(left, right), relation)
 
 
+def _reader(term: Term) -> Callable[[Substitution], Optional[Term]]:
+    """The value of `term` under a substitution that binds its variables: a
+    variable is a dict read, a ground term is itself, and anything else is
+    evaluated."""
+    if isinstance(term, Variable):
+        return operator.itemgetter(term.name)
+    if isinstance(term, (IntegerConstant, SymbolicConstant, StringConstant)) or is_ground(term):
+        return lambda sigma: term
+    return functools.partial(eval_arithmetic, term)
+
+
 class _AtomIndex:
-    """Derivable ground atoms, indexed by signed predicate signature and by
-    (signature, argument position, ground argument)."""
+    """Derivable ground atoms, each held as its positive body literal, indexed
+    by signed predicate signature and, with `by_argument`, by (signature,
+    argument position, ground argument)."""
 
-    def __init__(self, atoms: Iterable[ClassicalAtom] = ()) -> None:
-        self.atoms: set[ClassicalAtom] = set()
-        self.by_signature: dict[Signature, list[ClassicalAtom]] = {}
-        self.by_argument: dict[tuple[Signature, int, Term], list[ClassicalAtom]] = {}
-        for atom in atoms:
-            self.add(atom)
+    def __init__(self, literals: Iterable[NafLiteral] = (), by_argument: bool = True) -> None:
+        self.literals: dict[ClassicalAtom, NafLiteral] = {}
+        self.by_signature: dict[Signature, list[NafLiteral]] = {}
+        self.by_argument: Optional[dict[tuple, list[NafLiteral]]] = {} if by_argument else None
+        for literal in literals:
+            self.add(literal)
 
-    def add(self, atom: ClassicalAtom) -> bool:
-        if atom in self.atoms:
+    def add(self, literal: NafLiteral) -> bool:
+        known = len(self.literals)
+        self.literals.setdefault(literal.atom, literal)
+        if len(self.literals) == known:
             return False
-        self.atoms.add(atom)
-        key = atom_signature(atom)
-        self.by_signature.setdefault(key, []).append(atom)
-        for position, value in enumerate(atom.args):
-            self.by_argument.setdefault((key, position, value), []).append(atom)
+        key = atom_signature(literal.atom)
+        self.by_signature.setdefault(key, []).append(literal)
+        if self.by_argument is not None:
+            for position, value in enumerate(literal.atom.args):
+                self.by_argument.setdefault((key, position, value), []).append(literal)
         return True
 
-    def candidates(
-        self, pattern: ClassicalAtom, position: Optional[int], value: Optional[Term]
-    ) -> list[ClassicalAtom]:
-        """The atoms with the signature of `pattern`; when `position` is
+    def candidates(self, signature: Signature, position: Optional[int], value) -> list[NafLiteral]:
+        """The literals of the atoms with the signature; when `position` is
         given, only those whose argument there is `value`."""
-        key = atom_signature(pattern)
         if position is None:
-            return self.by_signature.get(key, [])
-        return self.by_argument.get((key, position, value), [])
+            return self.by_signature.get(signature, [])
+        return self.by_argument.get((signature, position, value), [])
 
 
 def _bound_position(atom: ClassicalAtom, bound: set[str]) -> Optional[int]:
@@ -481,280 +470,302 @@ def _bound_position(atom: ClassicalAtom, bound: set[str]) -> Optional[int]:
     return None
 
 
+def _unschedulable(states, delta):
+    """The last step of a plan whose remaining literals never become ready."""
+    raise ValueError("cannot schedule body literals; the statement is not safe")
+
+
+def _possible_values(function: AggregateFunction, elements: tuple) -> list[Term]:
+    tuples = {element.terms for element in elements}
+    if function is AggregateFunction.COUNT:
+        return [IntegerConstant(n) for n in range(len(tuples) + 1)]
+    if function is AggregateFunction.SUM:
+        weights = [t[0].value for t in tuples if t and isinstance(t[0], IntegerConstant)]
+        sums = {0}
+        for weight in weights:
+            sums |= {s + weight for s in sums}
+        return [IntegerConstant(s) for s in sorted(sums)]
+    firsts = {t[0] for t in tuples if t}
+    return sorted(firsts, key=term_sort_key)
+
+
 class _Grounder:
     def __init__(self, bounds: UniverseBounds) -> None:
         self.bounds = bounds
         self.index = _AtomIndex()
-        self.globals: set[str] = set()
+        # the join plans of this grounding by (statement id, delta position):
+        # the program keeps its statements, so their ids, for the whole call
+        self.plans: dict[tuple[int, Optional[int]], list[_Step]] = {}
 
-    # -- scheduling ---------------------------------------------------
+    # -- plans --------------------------------------------------------
 
-    def _ready_mode(
-        self, literal: BodyLiteral, bound: set[str]
-    ) -> Optional[tuple[str, object]]:
-        if isinstance(literal, AggregateLiteral):
-            guard_vars, element_vars = _aggregate_vars(literal)
-            atom = literal.atom
-            if not literal.naf and atom.right_guard is not None:
-                unbound_guard = guard_vars - bound
-                if (
-                    unbound_guard
-                    and atom.right_guard.relation is Relation.EQ
-                    and atom.left_guard is None
-                ):
-                    if element_vars & self.globals <= bound:
-                        return ("aggregate-bind", None)
-                    return None
-            if guard_vars <= bound and element_vars & self.globals <= bound:
-                return ("aggregate", None)
-            return None
+    def _plan(
+        self, body: Sequence[BodyLiteral], bound: Iterable, statement: Statement, from_delta=False
+    ) -> list[_Step]:
+        """The steps that join `body` when the variables in `bound` are bound.
+        With `from_delta`, the first literal, a positive classical atom, is
+        matched against the delta first; then each step is for the first
+        remaining literal that is ready. A body that cannot be scheduled ends
+        in a step that raises."""
+        remaining, bound, steps = list(body), set(bound), []
+        if from_delta:
+            step, binds = self._join_step(remaining.pop(0).atom, bound, None)
+            steps.append(step)
+            bound |= binds
+        while remaining:
+            for position, literal in enumerate(remaining):
+                ready = self._step(literal, bound, statement)
+                if ready is not None:
+                    break
+            else:
+                return steps + [_unschedulable]
+            del remaining[position]
+            steps.append(ready[0])
+            bound |= ready[1]
+        return steps
+
+    def _step(
+        self, literal: BodyLiteral, bound: set[str], statement: Statement
+    ) -> Optional[tuple[_Step, set[str]]]:
+        """The step for `literal` of `statement` and the variables it binds, or
+        None when the literal is not ready with the variables in `bound`."""
         atom = literal.atom
+        if isinstance(literal, AggregateLiteral):
+            return self._aggregate_step(literal, bound, statement)
         if isinstance(atom, ClassicalAtom):
-            if literal.naf:
-                return ("naf", None) if atom_variables(atom) <= bound else None
-            return ("join", (self.index, _bound_position(atom, bound)))
+            if not literal.naf:
+                return self._join_step(atom, bound, self.index)
+            if not atom_variables(atom) <= bound:
+                return None
+
+            def naf_step(states, delta):
+                return [
+                    (sigma, (*kept, NafLiteral(ground, True)), delayed)
+                    for sigma, kept, delayed in states
+                    if (ground := instantiate_atom(atom, sigma)) is not None
+                ]
+
+            return naf_step, set()
         left_vars, right_vars = term_variables(atom.left), term_variables(atom.right)
         if left_vars | right_vars <= bound:
-            return ("filter", None)
+            left, right, relation = _reader(atom.left), _reader(atom.right), atom.relation
+
+            def filter_step(states, delta):
+                return [
+                    state
+                    for state in states
+                    if (a := left(state[0])) is not None
+                    and (b := right(state[0])) is not None
+                    and builtin_truth(a, relation, b) != literal.naf
+                ]
+
+            return filter_step, set()
         if literal.naf or atom.relation is not Relation.EQ:
             return None
         if left_vars <= bound and right_vars - bound:
-            return ("bind", (atom.left, atom.right))
-        if right_vars <= bound and left_vars - bound:
-            return ("bind", (atom.right, atom.left))
-        return None
+            source, pattern = atom.left, atom.right
+        elif right_vars <= bound and left_vars - bound:
+            source, pattern = atom.right, atom.left
+        else:
+            return None
+        read = _reader(source)
 
-    def _bound_after(
-        self, literal: BodyLiteral, mode: tuple[str, object], bound: set[str]
-    ) -> set[str]:
-        kind, payload = mode
-        if kind == "join":
-            out = set(bound)
-            for arg in literal.atom.args:
-                out |= term_variables_outside_arithmetic(arg)
-            return out
-        if kind == "bind":
-            _, pattern = payload
-            return bound | term_variables_outside_arithmetic(pattern)
-        if kind == "aggregate-bind":
-            guard = literal.atom.right_guard
-            return bound | term_variables_outside_arithmetic(guard.term)
-        return bound
-
-    # -- literal application ------------------------------------------
-
-    def _apply(
-        self, literal: BodyLiteral, mode: tuple[str, object], states: list[_State]
-    ) -> list[_State]:
-        kind, payload = mode
-        out: list[_State] = []
-        for state in states:
-            if kind == "join":
-                index, position = payload
-                value = None
-                if position is not None:
-                    value = eval_arithmetic(literal.atom.args[position], state.sigma)
-                    if value is None:
-                        continue
-                for atom in index.candidates(literal.atom, position, value):
-                    branch = state.clone()
-                    if all(
-                        _unify(p, v, branch)
-                        for p, v in zip(literal.atom.args, atom.args)
-                    ) and _resolve_delayed(branch):
-                        branch.kept.append(NafLiteral(atom))
-                        out.append(branch)
-            elif kind == "bind":
-                source, pattern = payload
-                value = eval_arithmetic(source, state.sigma)
-                if value is None:
-                    continue
-                branch = state.clone()
-                if _unify(pattern, value, branch) and _resolve_delayed(branch):
-                    out.append(branch)
-            elif kind == "filter":
-                atom = literal.atom
-                left = eval_arithmetic(atom.left, state.sigma)
-                right = eval_arithmetic(atom.right, state.sigma)
-                if left is None or right is None:
-                    continue
-                if builtin_truth(left, atom.relation, right) != literal.naf:
-                    out.append(state)
-            elif kind == "naf":
-                ground = instantiate_atom(literal.atom, state.sigma)
-                if ground is None:
-                    continue
-                state.kept.append(NafLiteral(ground, naf=True))
-                out.append(state)
-            elif kind == "aggregate":
-                ground_literal = self._instantiate_aggregate(literal, state.sigma)
-                if ground_literal is None:
-                    continue
-                state.kept.append(ground_literal)
-                out.append(state)
-            else:  # aggregate-bind
-                elements = self._instantiate_elements(literal.atom.elements, state.sigma)
-                pattern = literal.atom.right_guard.term
-                for value in self._possible_values(literal.atom.function, elements):
-                    branch = state.clone()
-                    if _unify(pattern, value, branch) and _resolve_delayed(branch):
-                        guard_term = eval_arithmetic(pattern, branch.sigma)
-                        if guard_term is None:
-                            continue
-                        branch.kept.append(
-                            AggregateLiteral(
-                                AggregateAtom(
-                                    literal.atom.function,
-                                    elements,
-                                    None,
-                                    Guard(guard_term, Relation.EQ),
-                                )
-                            )
-                        )
-                        out.append(branch)
-        return out
-
-    def _possible_values(
-        self, function: AggregateFunction, elements: tuple[AggregateElement, ...]
-    ) -> list[Term]:
-        tuples = {element.terms for element in elements}
-        if function is AggregateFunction.COUNT:
-            return [IntegerConstant(n) for n in range(len(tuples) + 1)]
-        if function is AggregateFunction.SUM:
-            weights = [
-                t[0].value
-                for t in tuples
-                if t and isinstance(t[0], IntegerConstant)
+        def bind_step(states, delta):
+            return [
+                (extended[0], kept, extended[1])
+                for sigma, kept, delayed in states
+                if (value := read(sigma)) is not None
+                and (extended := _extend(sigma, delayed, [(pattern, value)])) is not None
             ]
-            sums = {0}
-            for weight in weights:
-                sums |= {s + weight for s in sums}
-            return [IntegerConstant(s) for s in sorted(sums)]
-        firsts = {t[0] for t in tuples if t}
-        return sorted(firsts, key=term_sort_key)
+
+        return bind_step, term_variables_outside_arithmetic(pattern)
+
+    def _aggregate_step(
+        self, literal: AggregateLiteral, bound: set[str], statement: Statement
+    ) -> Optional[tuple[_Step, set[str]]]:
+        """With its guards bound, the step keeps the aggregate's ground
+        instance; for `#f{...} = T` with T unbound, it binds T to each value
+        the aggregate can take over its ground elements."""
+        atom, guard = literal.atom, literal.atom.right_guard
+        guards = [side.term for side in (atom.left_guard, guard) if side is not None]
+        guard_vars = set().union(*map(term_variables, guards))
+        element_terms = [t for element in atom.elements for t in iter_element_terms(element)]
+        element_vars = set().union(*map(term_variables, element_terms))
+        equality = guard is not None and guard.relation is Relation.EQ and atom.left_guard is None
+        binds_guard = equality and not literal.naf and bool(guard_vars - bound)
+        if not (binds_guard or guard_vars <= bound):
+            return None
+        if not element_vars & global_variables(statement) <= bound:
+            return None
+        plans = [self._plan(element.condition, bound, statement) for element in atom.elements]
+        if not binds_guard:
+
+            def aggregate_step(states, delta):
+                return [
+                    (sigma, (*kept, ground), delayed)
+                    for sigma, kept, delayed in states
+                    if (ground := self._instantiate_aggregate(literal, plans, sigma)) is not None
+                ]
+
+            return aggregate_step, set()
+
+        def guard_step(states, delta):
+            out = []
+            for sigma, kept, delayed in states:
+                elements = self._instantiate_elements(atom.elements, plans, sigma)
+                for value in _possible_values(atom.function, elements):
+                    extended = _extend(sigma, delayed, [(guard.term, value)])
+                    term = None if extended is None else eval_arithmetic(guard.term, extended[0])
+                    if term is not None:
+                        bound_guard = Guard(term, guard.relation)
+                        ground = AggregateAtom(atom.function, elements, None, bound_guard)
+                        out.append((extended[0], (*kept, AggregateLiteral(ground)), extended[1]))
+            return out
+
+        return guard_step, term_variables_outside_arithmetic(guard.term)
+
+    def _join_step(
+        self, atom: ClassicalAtom, bound: set[str], index: Optional[_AtomIndex]
+    ) -> tuple[_Step, set[str]]:
+        """The step matching a positive classical atom against `index` (the
+        delta when None), and the variables it binds. The candidates are
+        looked up by the first bound argument. Every other argument compares
+        with a bound variable or a ground term, compares with an earlier
+        argument (the second X of p(X,X)), or binds a fresh variable;
+        functional and arithmetic patterns fall back to unification."""
+        signature, position, key = atom_signature(atom), None, None
+        # (position, reader), (position, earlier position), name: position,
+        # (pattern, position)
+        checks, repeats, fresh, compound = [], [], {}, []
+        for i, arg in enumerate(atom.args):
+            if isinstance(arg, Variable) and arg.name in fresh:
+                repeats.append((i, fresh[arg.name]))
+            elif isinstance(arg, Variable) and arg.name not in bound:
+                fresh[arg.name] = i
+            elif not (isinstance(arg, Variable) or term_variables(arg) <= bound):
+                compound.append((arg, i))
+            elif position is None:
+                position, key = i, _reader(arg)
+            elif isinstance(arg, Variable) or is_ground(arg):
+                checks.append((i, _reader(arg)))
+            else:
+                compound.append((arg, i))
+        fresh_items = tuple(fresh.items())
+        binds = set(fresh)
+        for pattern, _ in compound:
+            binds |= term_variables_outside_arithmetic(pattern)
+
+        def join_step(states, delta):
+            source = delta if index is None else index
+            out = []
+            for sigma, kept, delayed in states:
+                value = None
+                if key is not None and (value := key(sigma)) is None:
+                    continue
+                fixed = [(i, read(sigma)) for i, read in checks]
+                for candidate in source.candidates(signature, position, value):
+                    args = candidate.atom.args
+                    if fixed and any(args[i] != v for i, v in fixed):
+                        continue
+                    if repeats and any(args[i] != args[j] for i, j in repeats):
+                        continue
+                    new, pending = sigma, delayed
+                    if fresh_items:
+                        new = dict(sigma)
+                        for name, i in fresh_items:
+                            new[name] = args[i]
+                    if compound or delayed:
+                        extended = _extend(new, delayed, [(p, args[i]) for p, i in compound])
+                        if extended is None:
+                            continue
+                        new, pending = extended
+                    out.append((new, (*kept, candidate), pending))
+            return out
+
+        return join_step, binds - bound
+
+    # -- aggregates ---------------------------------------------------
 
     def _instantiate_elements(
-        self, elements: tuple[AggregateElement, ...], sigma: Substitution
+        self, elements: tuple[AggregateElement, ...], plans: list, sigma: Substitution
     ) -> tuple[AggregateElement, ...]:
         out: dict[str, AggregateElement] = {}
-        for element in elements:
-            for instance in self._instantiate_element(element, sigma):
+        for element, plan in zip(elements, plans):
+            for local, kept in self._join(plan, sigma):
+                terms = [eval_arithmetic(t, local) for t in element.terms]
+                if any(t is None for t in terms):
+                    continue
+                instance = AggregateElement(tuple(terms), kept, element.explicit_colon)
                 out.setdefault(aggregate_element_to_text(instance), instance)
         return tuple(out[key] for key in sorted(out))
 
-    def _instantiate_element(
-        self, element: AggregateElement, sigma: Substitution
-    ) -> Iterator[AggregateElement]:
-        for state in self._join(element.condition, dict(sigma)):
-            terms = [eval_arithmetic(t, state.sigma) for t in element.terms]
-            if any(t is None for t in terms):
-                continue
-            yield AggregateElement(
-                tuple(terms), tuple(state.kept), element.explicit_colon
-            )
-
     def _instantiate_aggregate(
-        self, literal: AggregateLiteral, sigma: Substitution
+        self, literal: AggregateLiteral, plans: list[list[_Step]], sigma: Substitution
     ) -> Optional[AggregateLiteral]:
         atom = literal.atom
-        guards: list[Optional[Guard]] = []
-        for guard in (atom.left_guard, atom.right_guard):
-            if guard is None:
-                guards.append(None)
-                continue
-            term = eval_arithmetic(guard.term, sigma)
-            if term is None:
-                return None
-            guards.append(Guard(term, guard.relation))
-        elements = self._instantiate_elements(atom.elements, sigma)
-        return AggregateLiteral(
-            AggregateAtom(atom.function, elements, guards[0], guards[1]),
-            literal.naf,
-        )
+        sides = (atom.left_guard, atom.right_guard)
+        guards = [g and Guard(eval_arithmetic(g.term, sigma), g.relation) for g in sides]
+        if any(guard is not None and guard.term is None for guard in guards):
+            return None
+        elements = self._instantiate_elements(atom.elements, plans, sigma)
+        return AggregateLiteral(AggregateAtom(atom.function, elements, *guards), literal.naf)
 
     # -- body join ----------------------------------------------------
 
-    def _join(
-        self,
-        body: Sequence[BodyLiteral],
-        sigma0: Substitution,
-        delta: Optional[_AtomIndex] = None,
-    ) -> list[_State]:
-        """States for every way the body holds over the index. With `delta`,
-        the first literal, a positive classical atom, is matched only
-        against the atoms in `delta`."""
-        remaining = list(body)
-        bound = set(sigma0)
-        states = [_State(dict(sigma0), [], [])]
-        if delta is not None:
-            literal = remaining.pop(0)
-            mode = ("join", (delta, _bound_position(literal.atom, bound)))
-            states = self._apply(literal, mode, states)
-            bound = self._bound_after(literal, mode, bound)
-        while remaining and states:
-            picked = None
-            for position, literal in enumerate(remaining):
-                mode = self._ready_mode(literal, bound)
-                if mode is not None:
-                    picked = (position, literal, mode)
-                    break
-            if picked is None:
-                raise ValueError(
-                    "cannot schedule body literals; the statement is not safe"
-                )
-            position, literal, mode = picked
-            del remaining[position]
-            states = self._apply(literal, mode, states)
-            bound = self._bound_after(literal, mode, bound)
-        final: list[_State] = []
-        for state in states:
-            if state.delayed:
-                if not all(
-                    term_variables(p) <= state.sigma.keys() for p, _ in state.delayed
-                ):
-                    raise ValueError(
-                        "unresolved match constraints; the statement is not safe"
-                    )
-                if not _resolve_delayed(state):
+    def _join(self, plan: list[_Step], sigma0: Substitution, delta=None) -> _Instances:
+        """(substitution, ground literals kept) for every way the plan's body
+        holds over the index, its delta step reading `delta`."""
+        states = [(sigma0, (), ())]
+        for step in plan:
+            if not states:
+                break
+            states = step(states, delta)
+        final = []
+        for sigma, kept, delayed in states:
+            if delayed:
+                if not all(term_variables(p) <= sigma.keys() for p, _ in delayed):
+                    raise ValueError("unresolved match constraints; the statement is not safe")
+                if _resolve_delayed(sigma, delayed) is None:
                     continue
-            final.append(state)
+            final.append((sigma, kept))
         return final
 
-    def ground_body(
-        self,
-        statement: Statement,
-        delta: Optional[_AtomIndex] = None,
-        position: int = 0,
-    ) -> list[_State]:
-        """Body states of the statement; with `delta`, the positive
-        classical literal at `position` is matched only against `delta`."""
-        self.globals = set(global_variables(statement))
-        body = statement.body
-        if delta is not None:
-            body = (body[position],) + body[:position] + body[position + 1 :]
-        return self._join(body, {}, delta)
+    def ground_body(self, statement: Statement, position=None, delta=None) -> _Instances:
+        """Body instances of the statement; with `position`, the positive
+        classical literal there is matched only against `delta`."""
+        if not statement.body:
+            return [({}, ())]
+        plan = self.plans.get((id(statement), position))
+        if plan is None:
+            body = statement.body
+            if position is not None:
+                body = (body[position],) + body[:position] + body[position + 1 :]
+            plan = self._plan(body, (), statement, position is not None)
+            self.plans[id(statement), position] = plan
+        return self._join(plan, {}, delta)
 
-    def fire(
-        self, rule: Rule, states: list[_State], instances: dict[Rule, None]
-    ) -> list[ClassicalAtom]:
-        """Record the instances of the rule for the body states and add
-        their heads to the index; returns the atoms the index did not have."""
-        added: list[ClassicalAtom] = []
-        for state in states:
-            heads = _ground_heads(rule, state.sigma, self.bounds)
-            if heads is None:
-                continue
-            instances.setdefault(_canonical_rule(tuple(heads), state.kept))
-            for atom in heads:
-                if self.index.add(atom):
-                    added.append(atom)
+    def fire(self, rule: Rule, states: _Instances, instances: dict) -> list[NafLiteral]:
+        """Record the instances of the rule for the body instances and add
+        their heads to the index; returns the literals of the atoms the index
+        did not have."""
+        added: list[NafLiteral] = []
+        for sigma, kept in states:
+            heads = []
+            for atom in rule.head:
+                ground = instantiate_atom(atom, sigma)
+                if ground is None:
+                    break
+                check_atom_bounds(ground, self.bounds)
+                heads.append(ground)
+            else:
+                instances.setdefault(_canonical_rule(tuple(heads), kept))
+                for atom in heads:
+                    if self.index.add(literal := NafLiteral(atom)):
+                        added.append(literal)
         return added
 
     def ground_component(
-        self,
-        rules: list[Rule],
-        component: frozenset[Signature],
-        instances: dict[Rule, None],
+        self, rules: list[Rule], component: frozenset[Signature], instances: dict[Rule, None]
     ) -> None:
         """Instantiate the rules whose heads form one strongly connected
         component; every predicate the component depends on is complete."""
@@ -771,7 +782,7 @@ class _Grounder:
                         grew = True
             instances.update(last)
             return
-        added: list[ClassicalAtom] = []
+        added: list[NafLiteral] = []
         for rule in rules:
             added += self.fire(rule, self.ground_body(rule), instances)
         # Semi-naive rounds: a new instance uses an atom of the last round.
@@ -784,11 +795,14 @@ class _Grounder:
             and isinstance(literal.atom, ClassicalAtom)
             and atom_signature(literal.atom) in component
         ]
+        # a delta step starts with nothing bound: it looks its atom up by an
+        # argument only when the atom has a ground one
+        by_argument = any(_bound_position(r.body[p].atom, set()) is not None for r, p in recursive)
         while added and recursive:
-            delta = _AtomIndex(added)
+            delta = _AtomIndex(added, by_argument)
             added = []
             for rule, position in recursive:
-                added += self.fire(rule, self.ground_body(rule, delta, position), instances)
+                added += self.fire(rule, self.ground_body(rule, position, delta), instances)
 
 
 def _aggregates_over(rule: Rule, component: frozenset[Signature]) -> bool:
@@ -801,19 +815,6 @@ def _aggregates_over(rule: Rule, component: frozenset[Signature]) -> bool:
         for element in literal.atom.elements
         for cond in element.condition
     )
-
-
-def _ground_heads(
-    rule: Rule, sigma: Substitution, bounds: UniverseBounds
-) -> Optional[list[ClassicalAtom]]:
-    heads: list[ClassicalAtom] = []
-    for atom in rule.head:
-        ground = instantiate_atom(atom, sigma)
-        if ground is None:
-            return None
-        check_atom_bounds(ground, bounds)
-        heads.append(ground)
-    return heads
 
 
 def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
@@ -838,19 +839,17 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
         grounder.fire(rule, grounder.ground_body(rule), instances)
     weaks: dict[WeakConstraint, None] = {}
     for weak in program.weak_constraints:
-        for state in grounder.ground_body(weak):
-            weight = eval_arithmetic(weak.weight, state.sigma)
-            level = eval_arithmetic(weak.level, state.sigma)
-            terms = [eval_arithmetic(t, state.sigma) for t in weak.terms]
+        for sigma, kept in grounder.ground_body(weak):
+            weight = eval_arithmetic(weak.weight, sigma)
+            level = eval_arithmetic(weak.level, sigma)
+            terms = [eval_arithmetic(t, sigma) for t in weak.terms]
             if weight is None or level is None or any(t is None for t in terms):
                 continue
-            instance = WeakConstraint(
-                tuple(sorted(state.kept, key=body_literal_to_text)),
-                weight,
-                level,
-                tuple(terms),
-            )
-            weaks.setdefault(instance, None)
+            body = tuple(sorted(kept, key=body_literal_to_text))
+            weaks.setdefault(WeakConstraint(body, weight, level, tuple(terms)), None)
+    # an aggregate step calls back into the grounder, so dropping the plans
+    # frees the grounder now, not at the next collection of reference cycles
+    grounder.plans.clear()
     return GroundProgram(
         tuple(sorted(instances, key=rule_to_text)),
         tuple(sorted(weaks, key=weak_constraint_to_text)),
@@ -875,15 +874,13 @@ def _over_naive_budget(count: int, what: str, names: Iterable[str]) -> BoundExce
 
 
 def _local_names(element: AggregateElement, bound: Iterable[str]) -> list[str]:
-    local_vars: set[str] = set()
-    for term in iter_element_terms(element):
-        local_vars |= term_variables(term)
+    local_vars = set().union(*map(term_variables, iter_element_terms(element)))
     return sorted(local_vars - set(bound))
 
 
 def instantiate_element(
     element: AggregateElement,
-    universe: Sequence[Term],
+    universe: Union[Sequence[Term], _LazyUniverse],
     context: Optional[Substitution] = None,
     globals_: Optional[frozenset[str]] = None,
 ) -> list[AggregateElement]:
@@ -891,15 +888,16 @@ def instantiate_element(
     universe, arithmetically evaluated, as a deduplicated sorted list."""
     sigma0 = dict(context or {})
     names = _local_names(element, sigma0.keys() | (globals_ or frozenset()))
-    count = len(universe) ** len(names)
-    if count > NAIVE_INSTANCE_BUDGET:
+    size = universe.size if isinstance(universe, _LazyUniverse) else len(universe)
+    if size ** len(names) > NAIVE_INSTANCE_BUDGET:
         what = f"aggregate element `{aggregate_element_to_text(element)}`"
-        raise _over_naive_budget(count, what, names)
+        raise _over_naive_budget(size ** len(names), what, names)
     out: dict[str, AggregateElement] = {}
-    for combo in itertools.product(universe, repeat=len(names)):
+    # a product of no pools yields one empty tuple without drawing a term
+    for combo in itertools.product(*[universe] * len(names)):
         sigma = dict(sigma0)
         sigma.update(zip(names, combo))
-        if not is_well_formed(element, sigma, scope="element"):
+        if not is_well_formed(iter_element_terms(element), sigma):
             continue
         terms = tuple(eval_arithmetic(t, sigma) for t in element.terms)
         condition = tuple(
@@ -912,7 +910,7 @@ def instantiate_element(
 
 
 def _naive_statement_instances(
-    statement: Statement, universe: Sequence[Term], globals_: frozenset[str]
+    statement: Statement, universe: _LazyUniverse, globals_: frozenset[str]
 ) -> Iterator[tuple[Substitution, list[BodyLiteral]]]:
     names = sorted(globals_)
     per_instance = 1
@@ -921,15 +919,15 @@ def _naive_statement_instances(
         if isinstance(literal, AggregateLiteral):
             for element in literal.atom.elements:
                 local = _local_names(element, globals_)
-                per_instance += len(universe) ** len(local)
+                per_instance += universe.size ** len(local)
                 every_name += local
-    count = len(universe) ** len(names) * per_instance
+    count = universe.size ** len(names) * per_instance
     if count > NAIVE_INSTANCE_BUDGET:
         what = f"`{statement_to_text(statement)}`"
         raise _over_naive_budget(count, what, every_name)
-    for combo in itertools.product(universe, repeat=len(names)):
+    for combo in itertools.product(*[universe] * len(names)):
         sigma = dict(zip(names, combo))
-        if not is_well_formed(statement, sigma, scope="global"):
+        if not is_well_formed(_global_terms(statement), sigma):
             continue
         body: list[BodyLiteral] = []
         for literal in statement.body:
@@ -967,11 +965,10 @@ def _naive_statement_instances(
 
 
 def _naive_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
-    # a program without variables substitutes nothing, so it needs no
-    # universe, which the functors of a desugared choice can make large
-    statements = (*program.rules, *program.weak_constraints)
-    needed = any(map(statement_variables, statements))
-    universe = build_universe(program, bounds) if needed else []
+    # a statement without variables draws no term, and one over the budget
+    # is refused before any is built; the functors of a desugared choice can
+    # make the universe large
+    universe = _LazyUniverse(program, bounds)
     rules: dict[Rule, None] = {}
     for rule in program.rules:
         if isinstance(rule.head, ChoiceAtom):
@@ -1017,13 +1014,16 @@ def ground_program(
     literal matched only against the atoms the previous round added. A
     component with an aggregate over its own predicates (a recursive
     aggregate) is instead re-ground from no instances until a round adds no
-    atom. Constraints and weak constraints are grounded last. Joins look up
-    the first argument already bound in an index keyed by (predicate,
-    argument position, ground value) instead of scanning the predicate.
+    atom. Constraints and weak constraints are grounded last. Each body (and
+    delta literal) gets one join plan per call: its literals as they become
+    ready, each positive atom looked up by its first bound argument in an
+    index keyed by (predicate, position, value) and its other arguments
+    compared or bound on a plain substitution.
 
     With naive=True every substitution over the bounded universe is
     enumerated instead and nothing is derived, so the bounds are never
-    exceeded.
+    exceeded; a statement over NAIVE_INSTANCE_BUDGET substitutions raises
+    BoundExceeded before the universe is built.
     """
     if bounds is None:
         bounds = UniverseBounds()

@@ -361,6 +361,22 @@ def test_naive_grounding_over_its_budget_exits_4():
     assert "instance budget" in done.stderr and "S, X" in done.stderr
 
 
+def test_naive_grounding_refuses_a_large_universe_before_building_it():
+    # the desugared choice puts three unary functors into the program, so
+    # the universe at the default bounds holds 242,121 terms; counting them
+    # in closed form ends the run without building one
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "aspcore2", "ground", "--naive"],
+        input="{a; b; -c}. p(X) :- q(X). q(1).",
+        capture_output=True, text=True, timeout=30, env=CHILD_ENV,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "would try 242121 substitutions of X" in done.stderr
+
+
 def test_naive_grounding_of_a_variable_free_choice_ends():
     # desugaring puts three unary functors into the program, whose
     # universe at the default bounds holds 242,121 terms; with no variable

@@ -224,6 +224,23 @@ def test_universe_without_functors_is_constants_only():
     assert [term_to_text(t) for t in universe] == ["-2", "-1", "0", "1", "2", "3", "b"]
 
 
+@pytest.mark.parametrize(
+    "text,bounds",
+    [
+        ("p(3). q(b).", UniverseBounds(2, 4)),
+        ('p(f(a)). q("s").', UniverseBounds(1, 1)),
+        ("p(f(0), g(1,2)).", UniverseBounds(1, 2)),
+        ("{a; b}.", UniverseBounds(2, 3)),
+    ],
+)
+def test_universe_size_is_counted_without_building(text, bounds):
+    program = desugar(parse_program(text))
+    universe = ground_module._LazyUniverse(program, bounds)
+    assert "terms" not in vars(universe)
+    assert universe.size == len(build_universe(program, bounds))
+    assert list(universe) == build_universe(program, bounds)
+
+
 def test_check_atom_bounds():
     inside = ClassicalAtom("p", (IntegerConstant(5),), False)
     check_atom_bounds(inside, UniverseBounds(5, 0))
@@ -302,6 +319,40 @@ def test_smart_and_naive_agree_on_answer_sets():
     smart = answer_sets(ground(text, max_int=3))
     naive = answer_sets(ground(text, max_int=3, naive=True))
     assert smart == naive
+
+
+# Facts and rules for random programs that exercise each argument action of
+# a join plan; each rule names the action it needs
+PLAN_FACTS = [
+    "b(0).", "b(1).", "b(2).", "b(a).",
+    "c(0,1).", "c(1,1).", "c(1,2).", "c(2,2).", "c(2,0).", "c(a,a).",
+    "p(f(1)).", "p(f(a)).", "p(g(2)).", "d(1).", "d(3).",
+]
+PLAN_RULES = [
+    "e(X) :- c(X,X).",  # a repeated fresh variable
+    "e(X) :- b(X), c(X,X).",  # a repeated bound variable
+    "k(X) :- b(X), c(X,1).",  # a constant after the lookup argument
+    "k(Y) :- c(1,Y).",  # a constant as the lookup argument
+    "k(X) :- p(f(X)).",  # a functional pattern
+    "k(X) :- d(X+1), b(X).",  # an arithmetic pattern before its variable is bound
+    "k(X) :- b(X), d(X+1).",  # an arithmetic lookup argument
+    "m(X) :- b(X), X + 1 > 1.",  # a symbolic operand is undefined
+    "m(X) :- b(X), X < 2.",  # symbolic constants follow the integers
+    "n(X) :- b(X), not e(X).",  # naf
+    "g(X) :- b(X), #count{Y : c(X,Y)} >= 2.",  # conditions read an outer variable
+    "g(X) :- b(X), #sum{Y : c(X,Y), Y > X} >= 1.",
+    "e(X) | n(X) :- c(X,Y), Y > X.",
+]
+
+
+def test_join_plans_agree_with_naive_on_random_programs():
+    rng = random.Random(29)
+    for index in range(40):
+        facts = rng.sample(PLAN_FACTS, rng.randint(5, len(PLAN_FACTS)))
+        text = "\n".join(facts + rng.sample(PLAN_RULES, rng.randint(2, 5)))
+        smart = answer_sets(ground(text, max_int=3, max_nesting=1))
+        naive = answer_sets(ground(text, max_int=3, max_nesting=1, naive=True))
+        assert smart == naive, f"program {index}:\n{text}"
 
 
 @pytest.mark.parametrize(
@@ -418,25 +469,27 @@ def test_semi_naive_rounds_stop_at_the_same_bound(max_int):
     )
 
 
-def unifications(monkeypatch, text):
-    """Ground `text`, counting the grounder's unification steps."""
-    calls = 0
-    unify = ground_module._unify
+def candidate_atoms(monkeypatch, text):
+    """Ground `text`, counting the candidate atoms the joins read from the
+    index."""
+    count = 0
+    candidates = ground_module._AtomIndex.candidates
 
-    def counting(pattern, value, state):
-        nonlocal calls
-        calls += 1
-        return unify(pattern, value, state)
+    def counting(index, signature, position, value):
+        nonlocal count
+        found = candidates(index, signature, position, value)
+        count += len(found)
+        return found
 
     with monkeypatch.context() as patch:
-        patch.setattr(ground_module, "_unify", counting)
+        patch.setattr(ground_module._AtomIndex, "candidates", counting)
         grounded = ground(text, max_int=100, max_nesting=0)
-    return calls, len(grounded.rules)
+    return count, len(grounded.rules)
 
 
 def test_grounding_work_grows_with_the_ground_program(monkeypatch):
-    small_work, small_rules = unifications(monkeypatch, reach(20))
-    large_work, large_rules = unifications(monkeypatch, reach(40))
+    small_work, small_rules = candidate_atoms(monkeypatch, reach(20))
+    large_work, large_rules = candidate_atoms(monkeypatch, reach(40))
     assert (small_rules, large_rules) == (230, 860)
     assert large_work / small_work <= 1.5 * large_rules / small_rules
 
