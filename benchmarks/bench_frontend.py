@@ -9,9 +9,9 @@ times `tokenize`, the parser on the ready `Tokens` stream, `desugar` and
 each time it prints how many cyclic garbage collections of generations 0, 1
 and 2 that run triggered (`gc.get_stats()`), which shows the allocation
 pressure of the layer; `tokenize` allocates no tracked object per token, so
-its row reads 0/0/0. Before timing, it checks that `tokenize` gives the
-lexemes of `oracle_scan`, the lexical table run literally, with trivia
-removed; that the parser gives the program and statement spans of
+its row reads 0/0/0. Before timing, it checks that `scan` gives the lexemes
+of `oracle_scan`, the lexical table run literally, and `tokenize` the same
+with trivia removed; that the parser gives the program and statement spans of
 `oracle_parse`, the backtracking parser; and that `desugar` returns its own
 output unchanged. It exits 1 if any of these does not hold.
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from aspcore2.analysis import check_program
-from aspcore2.lexer import TRIVIA, tokenize
+from aspcore2.lexer import TRIVIA, scan, tokenize
 from aspcore2.parser import _Parser
 from aspcore2.rewrite import desugar
 from generators import random_nonground_program_text
@@ -75,9 +75,9 @@ def main(argv=None):
     lexemes = oracle_scan(text)
     significant = [t for t in lexemes if t.kind not in TRIVIA]
     tokens = tokenize(text)
-    agree = tokens == significant
+    agree = scan(text) == lexemes and tokens == significant
     print(f"text: {len(text)} bytes, {len(lexemes) - 1} lexemes, "
-          f"{len(significant) - 1} significant; tokenize agrees with oracle_scan: {agree}")
+          f"{len(significant) - 1} significant; scan and tokenize agree with oracle_scan: {agree}")
     if not agree:
         return 1
     program, expected = _Parser(tokens).parse_program(), oracle_parse(significant)

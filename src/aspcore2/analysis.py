@@ -9,6 +9,7 @@ undefined division).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Union
 
@@ -286,8 +287,13 @@ class DependencyGraph:
         it reaches, so a rule's body predicates come before its head's.
 
         Tarjan's algorithm with an explicit stack; vertices and successors
-        are visited in sorted order, so the result is deterministic.
+        are visited in sorted order, so the result is deterministic. It runs
+        once per graph; every call returns the same list.
         """
+        return self._components
+
+    @cached_property
+    def _components(self) -> list[frozenset[Signature]]:
         order: dict[Signature, int] = {}
         low: dict[Signature, int] = {}
         stack: list[Signature] = []
@@ -383,8 +389,14 @@ def _walk(
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
     """Vertices for every signed predicate occurrence, edges head-to-head
-    (including self) and head-to-body-atom per rule."""
-    return _walk(program.statements())[0]
+    (including self) and head-to-body-atom per rule.
+
+    Built once per program: the graph is kept in the program's `_graph`
+    slot, where `check_program` also leaves the one it builds."""
+    graph = getattr(program, "_graph", None)
+    if graph is None:
+        graph = program._graph = _walk(program.statements())[0]
+    return graph
 
 
 # --------------------------------------------------------------------------
@@ -539,6 +551,7 @@ def check_program(program: Program) -> AnalysisResult:
     """Run every restriction check and lint on a desugared program."""
     statements = program.statements()
     graph, aggregates, divisions = _walk(statements)
+    program._graph = graph
     return AnalysisResult(
         tuple(check_safety(s) for s in statements),
         tuple(_recursive_aggregates(aggregates, graph)),

@@ -2,40 +2,50 @@
 
 The language's lexical table is a list of regular expressions resolved by
 longest match, where on equal length a fixed lexeme (keyword or punctuation)
-beats an identifier class. Here the whole table is one compiled master regex
-with a named group per token kind, matched once per lexeme at the current
-position; the name of the group that matched (`m.lastgroup`) is the kind.
+beats an identifier class. Here the table is one compiled regex, and one
+`findall` call cuts the whole text into its lexemes. No Python code runs per
+lexeme after that; each column of the stream is built by whole-list passes:
+a kind is looked up by the lexeme's text among the fixed lexemes, else by
+its start (`%*`, or one character); offsets are prefix sums of the lexeme
+lengths; the tokens of each line are counted by bisecting the offsets at
+the line starts, and share one line-number object.
 
-The master regex realises the table's resolution rules as follows. The
-alternation takes the first alternative that matches, not the longest, so
-it resolves longest match only because no two alternatives can match at one
-position, with three kinds of exception:
+The alternation takes the first row that matches, not the longest, so it
+resolves longest match only because no two rows can match at one position,
+with three kinds of exception:
 - `not` is both a fixed lexeme and an identifier. It is lexed by the ID
-  pattern and re-kinded to NAF when the whole lexeme is `not`, so `nota`
-  stays an ID: keyword over identifier on equal length, identifier on a
-  longer match.
+  pattern and kinded NAF when the whole lexeme is `not`, so `nota` stays an
+  ID: keyword over identifier on equal length, identifier on a longer match.
 - Fixed lexemes that share a prefix (`:` `:-` `:~`, `<` `<=` `<>`, `>`
   `>=`) are listed longest first, so the longer one is tried first.
 - The two comment forms share `%`, but a line comment cannot begin with
   `%*`, so at most one of them matches.
 
-Comments and blanks are trivia. `scan` keeps them, so that the concatenation
-of all lexemes reproduces the input byte for byte; `tokenize` drops them
-without building a token for them.
+`findall` skips a character at which no row matches and tries again at the
+next, which would rescan the text after each such character. So the table's
+rows form the regex's one group, and a catch-all after it takes the rest of
+the text at the first position where no lexeme starts; `findall` reports
+that match as an empty lexeme. Lexing stays linear, and only the last
+lexeme can be an error.
 
-The token stream is columnar: `Tokens` holds five parallel lists, the kind,
-text, offset, line and column of each lexeme. The lexer appends only enum
-members, strings and integers to them, which the cyclic garbage collector
-does not track, so lexing a large text allocates no tracked object per token
-and sets off no collection. A `Token` with its `Span` is built only when the
-stream is indexed or iterated; the parser reads the columns directly.
+Comments and blanks are trivia. `scan` keeps them, so that the concatenation
+of all lexemes reproduces the input byte for byte; `tokenize` drops them by
+their first character. `Tokens` holds five parallel lists, the kind, text,
+offset, line and column of each lexeme: enum members, strings and integers,
+which the cyclic garbage collector does not track, so lexing allocates no
+tracked object per token and sets off no collection. A `Token` with its
+`Span` is built only when the stream is indexed or iterated; the parser
+reads the columns directly.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import LexError
@@ -103,23 +113,25 @@ class Token(NamedTuple):
     span: Span
 
 
-# Character classes of the lexical table, and the fixed lexemes, grouped by
-# kind. Blanks and identifiers come first because they are the most common
-# lexemes; the order matters only among the fixed lexemes.
+# Character classes of the lexical table, with the characters their lexemes
+# start with, and the fixed lexemes, grouped by kind. Blanks and identifiers
+# come first because they are the most common lexemes; the order matters
+# only among the fixed lexemes.
 _CLASS_PATTERNS = (
-    (TokenKind.BLANK, r"[ \t\n]+"),
-    (TokenKind.ID, r"[a-z][A-Za-z0-9_]*"),
-    (TokenKind.VARIABLE, r"[A-Z][A-Za-z0-9_]*"),
-    (TokenKind.NUMBER, r"0|[1-9][0-9]*"),
+    (TokenKind.BLANK, " \t\n", r"[ \t\n]+"),
+    (TokenKind.ID, "abcdefghijklmnopqrstuvwxyz", r"[a-z][A-Za-z0-9_]*"),
+    (TokenKind.VARIABLE, "ABCDEFGHIJKLMNOPQRSTUVWXYZ", r"[A-Z][A-Za-z0-9_]*"),
+    (TokenKind.NUMBER, "0123456789", r"0|[1-9][0-9]*"),
     # The table's `"([^"]|\")*"`, with the escaped quote tried first so that
     # the match is the longest one.
-    (TokenKind.STRING, r'"(?:\\"|[^"])*"'),
+    (TokenKind.STRING, '"', r'"(?:\\"|[^"])*"'),
     # A line comment runs to the newline; one at end of input is accepted too.
-    (TokenKind.COMMENT, r"%(?:[^*\n][^\n]*)?(?:\n|\Z)"),
-    (TokenKind.MULTI_LINE_COMMENT, r"%\*(?:[^*]|\*[^%])*\*%"),
+    (TokenKind.COMMENT, "%", r"%(?:[^*\n][^\n]*)?(?:\n|\Z)"),
+    # One start of two characters, which a line comment cannot have.
+    (TokenKind.MULTI_LINE_COMMENT, ("%*",), r"%\*(?:[^*]|\*[^%])*\*%"),
 )
 
-# `not` is missing on purpose: it is lexed as an ID and re-kinded.
+# `not` is missing on purpose: it is lexed as an ID and kinded by `_FIXED`.
 _FIXED_LEXEMES = (
     (TokenKind.AGGREGATE_COUNT, ("#count",)),
     (TokenKind.AGGREGATE_MAX, ("#max",)),
@@ -153,22 +165,20 @@ _FIXED_LEXEMES = (
     (TokenKind.GREATER, (">",)),
 )
 
+# The table's rows in one group, then the catch-all (see the module docstring).
 _MASTER = re.compile(
-    "|".join(
-        [f"(?P<{kind.name}>{pattern})" for kind, pattern in _CLASS_PATTERNS]
-        + [
-            f"(?P<{kind.name}>{'|'.join(map(re.escape, lexemes))})"
-            for kind, lexemes in _FIXED_LEXEMES
-        ]
-    )
+    "(" + "|".join([f"(?:{pattern})" for _kind, _starts, pattern in _CLASS_PATTERNS]
+                   + [re.escape(lexeme) for _kind, lexemes in _FIXED_LEXEMES for lexeme in lexemes])
+    + ")|(?s:.+)"
 )
 
-# Per group name: its kind, whether it is trivia, and whether its lexeme may
-# span lines, so that the loop reads all three from one lookup.
-_GROUPS = {
-    kind.name: (kind, kind in TRIVIA, kind in TRIVIA or kind is TokenKind.STRING)
-    for kind in TokenKind
-}
+# The kind of a fixed lexeme, by its text, and of any other lexeme, by its
+# start; and a byte table that maps the first character of trivia to 0.
+_FIXED = {lexeme: kind for kind, lexemes in _FIXED_LEXEMES for lexeme in lexemes}
+_FIXED["not"] = TokenKind.NAF
+_STARTS = {start: kind for kind, starts, _pattern in _CLASS_PATTERNS for start in starts}
+_TRIVIA_STARTS = {start[0] for start, kind in _STARTS.items() if kind in TRIVIA}
+_SIGNIFICANT = bytes.maketrans("".join(_TRIVIA_STARTS).encode(), bytes(len(_TRIVIA_STARTS)))
 
 
 def _diagnose(text: str, pos: int) -> str:
@@ -241,45 +251,33 @@ class Tokens:
 
 
 def _lex(text: str, keep_trivia: bool) -> Tokens:
-    kinds: list[TokenKind] = []
-    texts: list[str] = []
-    offsets: list[int] = []
-    lines: list[int] = []
-    columns: list[int] = []
-    add_kind, add_text, add_offset, add_line, add_column = (
-        kinds.append, texts.append, offsets.append, lines.append, columns.append
-    )
-    match = _MASTER.match
-    groups = _GROUPS
-    naf = TokenKind.NAF
-    pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    n = len(text)
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            raise LexError(_diagnose(text, pos), Span(pos, 1, line, pos - line_start + 1))
-        kind, trivia, multi_line = groups[m.lastgroup]
-        end = m.end()
-        if keep_trivia or not trivia:
-            lexeme = m.group()
-            add_kind(naf if lexeme == "not" else kind)  # only the ID pattern matches `not`
-            add_text(lexeme)
-            add_offset(pos)
-            add_line(line)
-            add_column(pos - line_start + 1)
-        if multi_line:
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
-        pos = end
-    add_kind(TokenKind.EOF)
-    add_text("")
-    add_offset(pos)
-    add_line(line)
-    add_column(pos - line_start + 1)
+    texts = _MASTER.findall(text)
+    if texts and not texts[-1]:  # the catch-all matched: no lexeme starts here
+        offset = sum(map(len, texts))
+        span = Span(offset, 1, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+        raise LexError(_diagnose(text, offset), span)
+    firsts = "".join(map(itemgetter(0), texts))
+    # One more offset than there are lexemes: the last is the EOF marker's.
+    offsets = accumulate(map(len, texts), initial=0)
+    if not keep_trivia:  # every lexeme starts with an ASCII character: one byte each
+        keep = firsts.encode().translate(_SIGNIFICANT)
+        texts = list(compress(texts, keep))
+        firsts = compress(firsts, keep)
+        offsets = compress(offsets, keep + b"\1")
+    offsets = list(offsets)
+    # Line n starts at offset bases[n - 1] + 1 (bases[-1] is the text's
+    # length), runs[n - 1] tokens start on it, and `repeat` gives them one int.
+    bases = list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=-1))
+    heads = list(map(bisect_right, repeat(offsets), bases))
+    runs = list(map(sub, heads[1:], heads))
+    lines = list(chain.from_iterable(map(repeat, count(1), runs)))
+    columns = list(map(sub, offsets, chain.from_iterable(map(repeat, bases, runs))))
+    kinds = list(map(_FIXED.get, texts, map(_STARTS.get, firsts)))
+    if keep_trivia and "%*" in text:
+        for index in compress(count(), map(str.startswith, texts, repeat("%*"))):
+            kinds[index] = _STARTS["%*"]
+    kinds.append(TokenKind.EOF)
+    texts.append("")
     return Tokens(kinds, texts, offsets, lines, columns)
 
 

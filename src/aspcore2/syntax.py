@@ -5,9 +5,10 @@ atoms and aggregate elements can be used as set members and dict keys.
 Statement nodes carry an optional source span that is excluded from
 structural equality. Nodes are immutable by convention: nothing assigns
 to a node's fields once it is built, so a node can be shared between
-programs and its hash never changes. Atoms, body literals and statements
-also keep their canonical text once it has been rendered (`_Rendered`), so
-each is rendered at most once.
+programs and its hash never changes. Atoms, aggregate elements, body
+literals and statements also keep their canonical text once it has been
+rendered (`_Rendered`), so each is rendered at most once; a program keeps
+its dependency graph (`_Analysed`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ class _Rendered:
     """
 
     __slots__ = ("_text",)
+
+
+class _Analysed:
+    """Base of `Program`: its `_graph` slot keeps the predicate dependency
+    graph once `analysis` has built it, so that checking and grounding one
+    program build it once. Like `_text`, it is not a dataclass field."""
+
+    __slots__ = ("_graph",)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +185,7 @@ class AggregateFunction(enum.Enum):
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class AggregateElement:
+class AggregateElement(_Rendered):
     terms: tuple[Term, ...] = ()
     condition: tuple[NafLiteral, ...] = ()
     # Distinguishes `{:}` (one empty element, colon present) from terms-only
@@ -258,7 +267,7 @@ Statement = Union[Rule, WeakConstraint, Query]
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Program:
+class Program(_Analysed):
     rules: tuple[Rule, ...] = ()
     weak_constraints: tuple[WeakConstraint, ...] = ()
     query: Optional[Query] = None
@@ -578,6 +587,7 @@ def naf_literal_to_text(literal: NafLiteral) -> str:
     return f"not {text}" if literal.naf else text
 
 
+@_memoised
 def aggregate_element_to_text(element: AggregateElement) -> str:
     terms = ",".join(term_to_text(t) for t in element.terms)
     if element.condition:

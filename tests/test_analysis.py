@@ -360,3 +360,18 @@ def test_ok_program():
     assert result.ok
     assert result.violations() == []
     assert result.warnings() == []
+
+
+def test_checking_then_grounding_a_program_builds_one_graph(monkeypatch):
+    from aspcore2 import analysis
+    from aspcore2.ground import ground_program
+
+    core = desugar(parse_program("p(1). q(X) :- p(X). r :- #count{X : q(X)} >= 1."))
+    walk = analysis._walk
+    walks = []
+    monkeypatch.setattr(analysis, "_walk", lambda statements: walks.append(1) or walk(statements))
+    graph = check_program(core).graph
+    ground_program(core)
+    assert build_dependency_graph(core) is graph
+    assert graph.components() is graph.components()
+    assert len(walks) == 1

@@ -5,9 +5,11 @@ run literally."""
 
 import gc
 import random
+import time
 
 import pytest
 
+from aspcore2 import lexer
 from aspcore2.errors import LexError
 from aspcore2.lexer import TRIVIA, Token, TokenKind, Tokens, scan, tokenize
 from aspcore2.syntax import Span
@@ -152,6 +154,32 @@ def test_unterminated_string_raises():
 def test_unterminated_multiline_comment_raises():
     with pytest.raises(LexError):
         tokenize("p. %* never closed")
+
+
+# Long texts with a lexical error: an unterminated comment or string at the
+# start, after which a lexer that skipped the failing character would rescan
+# the rest of the text from each later position, and an illegal character
+# at the very end.
+_LONG_ERRORS = [
+    ("%*\n" * 60000, "unterminated multi-line comment", Span(0, 1, 1, 1)),
+    ("p. " * 60000 + "$", "unexpected character '$'", Span(180000, 1, 1, 180001)),
+    ('"' + "a" * 60000, "unterminated or malformed string literal", Span(0, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("text,message,span", _LONG_ERRORS, ids=["comment", "character", "string"])
+@pytest.mark.parametrize("lex", [scan, tokenize])
+def test_errors_in_long_texts_are_found_in_linear_time(lex, text, message, span):
+    start = time.perf_counter()
+    with pytest.raises(LexError) as err:
+        lex(text)
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.message, err.value.span) == (message, span)
+
+
+def test_kind_tables_give_every_kind_but_eof():
+    kinds = set(lexer._FIXED.values()) | set(lexer._STARTS.values())
+    assert kinds == set(TokenKind) - {TokenKind.EOF}
 
 
 def test_string_keeps_escaped_quote():
