@@ -1,38 +1,31 @@
 """Bitmask packing of ground programs for the search.
 
-Candidate atoms become bit positions; rule bodies become positive/negative
-masks plus packed aggregates whose tuples carry precomputed weights and
-guard comparisons. The search (`kernel`) reads them as flat arrays.
+Candidate atoms become bit positions. A packed rule is `(head, pos, neg,
+aggregates)`: the masks of its head atoms and of its positive and naf body
+atoms, and its body's aggregates as `Aggregate`s, whose tuples carry their
+weight and their comparison with each guard. The search (`kernel`) reads
+the rules as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ground import GroundProgram, builtin_truth, term_compare, term_sort_key
 from .syntax import (
+    INVERTED_RELATION,
     AggregateFunction,
     AggregateLiteral,
     BuiltinAtom,
     ClassicalAtom,
     Guard,
     IntegerConstant,
+    Relation,
     Rule,
     Term,
 )
 
-KIND_COUNT = 0
-KIND_SUM = 1
-KIND_MAX = 2
-KIND_MIN = 3
-
-_KIND = {
-    AggregateFunction.COUNT: KIND_COUNT,
-    AggregateFunction.SUM: KIND_SUM,
-    AggregateFunction.MAX: KIND_MAX,
-    AggregateFunction.MIN: KIND_MIN,
-}
 
 def atom_sort_key(atom: ClassicalAtom):
     return (
@@ -78,158 +71,139 @@ def derivable_atoms(program: GroundProgram) -> set[ClassicalAtom]:
     return derived
 
 
+class Aggregate(NamedTuple):
+    """A packed aggregate literal.
+
+    - left, right: each guard as `(relation, bound)`, read as `value
+      relation bound`, so the left guard's relation is inverted; the bound
+      is the guard's integer, or None for a symbolic term. None when the
+      guard is absent.
+    - atoms: the mask of every atom the conditions mention.
+    - tuples: `(weight, cmp_left, cmp_right, rows)` per distinct element
+      tuple, in term order: the weight it adds (1 for `#count`, its
+      integer or else 0 for `#sum`), the term_compare of its first term
+      with each guard's term, and the (pos, neg) masks of its conditions,
+      one of which must hold for the tuple to count. `#min` and `#max`
+      keep only the tuples with a term.
+    """
+
+    naf: bool
+    function: AggregateFunction
+    left: Optional[tuple[Relation, Optional[int]]]
+    right: Optional[tuple[Relation, Optional[int]]]
+    atoms: int
+    tuples: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
+
+
 @dataclass(frozen=True)
 class PackedProgram:
     """A ground program packed over its candidate atoms.
 
-    `arrays` are the arrays the search reads, in `flat()` order after the
-    size:
-
-    - conflicts: the mask of each atom together with its strong negation.
-    - rule_meta: (head, pos, neg, start, count) per rule, where start and
-      count select the rule's entries of agg_index.
-    - agg_index: ids into agg_meta.
-    - agg_meta: (naf, kind, then present, relation, term is an integer
-      and its value for the left and then the right guard, start, count)
-      per aggregate, where start and count select tuple_meta rows.
-    - tuple_meta: (weight for #sum, 1 if the tuple has a first term for
-      #max/#min, term_compare of that term with the left and with the right
-      guard term, start, count) per distinct element tuple, where start and
-      count select cond_flat rows.
-    - cond_flat: (pos, neg) masks; a tuple counts when one of its rows
-      holds.
+    `rules` holds each rule whose head atoms are all candidates and whose
+    body can hold, in program order, then a constraint `(0, mask, 0, ())`
+    per atom and its strong negation.
     """
 
     size: int
     atoms: tuple[ClassicalAtom, ...]
-    arrays: tuple
+    rules: tuple[tuple[int, int, int, tuple[Aggregate, ...]], ...]
 
     def flat(self) -> tuple:
-        """The flat view the search reads: (size, conflicts, rule_meta,
-        agg_index, agg_meta, tuple_meta, cond_flat)."""
-        return (self.size, *self.arrays)
+        """What the search reads: (size, rules)."""
+        return (self.size, self.rules)
 
 
-def _guard_meta(guard: Optional[Guard]) -> tuple:
-    """(present, relation, term is an integer, its value) of a guard."""
-    if guard is None:
-        return (0, None, 0, 0)
-    if isinstance(guard.term, IntegerConstant):
-        return (1, guard.relation, 1, guard.term.value)
-    return (1, guard.relation, 0, 0)
-
-
-class _Packer:
-    def __init__(self, atoms: list[ClassicalAtom]) -> None:
-        self.bit = {atom: 1 << i for i, atom in enumerate(atoms)}
-        self.rule_meta: list[tuple[int, int, int, int, int]] = []
-        self.agg_index: list[int] = []
-        self.agg_meta: list[tuple[int, ...]] = []
-        self.tuple_meta: list[tuple[int, int, int, int, int, int]] = []
-        self.cond_flat: list[tuple[int, int]] = []
-
-    def literal_masks(self, literals) -> Optional[tuple[int, int]]:
-        """Fold literals into (pos, neg) masks; None when one can never hold:
-        a false builtin, or a positive atom outside the candidate base. True
-        builtins are left out."""
-        pos = neg = 0
-        for literal in literals:
-            atom = literal.atom
-            if isinstance(atom, BuiltinAtom):
-                if builtin_truth(atom.left, atom.relation, atom.right) == literal.naf:
-                    return None
-                continue
-            mask = self.bit.get(atom)
-            if literal.naf:
-                if mask is not None:
-                    neg |= mask
-            else:
-                if mask is None:
-                    return None
-                pos |= mask
-        return pos, neg
-
-    def pack_rule(self, rule: Rule) -> None:
-        """Append the rule unless its head leaves the candidate base or its
-        body can never hold."""
-        head = 0
-        for atom in rule.head:
-            mask = self.bit.get(atom)
-            if mask is None:
-                return
-            head |= mask
-        plain = [l for l in rule.body if not isinstance(l, AggregateLiteral)]
-        aggregates = [l for l in rule.body if isinstance(l, AggregateLiteral)]
-        masks = self.literal_masks(plain)
-        if masks is None:
-            return
-        pos, neg = masks
-        self.rule_meta.append((head, pos, neg, len(self.agg_index), len(aggregates)))
-        for literal in aggregates:
-            self.agg_index.append(len(self.agg_meta))
-            self.pack_aggregate(literal)
-
-    def pack_aggregate(self, literal: AggregateLiteral) -> None:
+def _literal_masks(bit: dict, literals) -> Optional[tuple[int, int]]:
+    """Fold literals into (pos, neg) masks; None when one can never hold:
+    a false builtin, or a positive atom outside the candidate base. True
+    builtins are left out."""
+    pos = neg = 0
+    for literal in literals:
         atom = literal.atom
-        by_tuple: dict[tuple[Term, ...], list[tuple[int, int]]] = {}
-        for element in atom.elements:
-            masks = self.literal_masks(element.condition)
-            if masks is not None:
-                by_tuple.setdefault(element.terms, []).append(masks)
-        tuple_start = len(self.tuple_meta)
-        order = sorted(by_tuple, key=lambda terms: tuple(term_sort_key(t) for t in terms))
-        for terms in order:
-            first = terms[0] if terms else None
+        if isinstance(atom, BuiltinAtom):
+            if builtin_truth(atom.left, atom.relation, atom.right) == literal.naf:
+                return None
+            continue
+        mask = bit.get(atom)
+        if literal.naf:
+            if mask is not None:
+                neg |= mask
+        else:
+            if mask is None:
+                return None
+            pos |= mask
+    return pos, neg
+
+
+def _pack_guard(guard: Optional[Guard], inverted: bool = False):
+    if guard is None:
+        return None
+    relation = INVERTED_RELATION[guard.relation] if inverted else guard.relation
+    term = guard.term
+    return relation, term.value if isinstance(term, IntegerConstant) else None
+
+
+def _pack_aggregate(bit: dict, literal: AggregateLiteral) -> Aggregate:
+    atom = literal.atom
+    function = atom.function
+    left, right = atom.left_guard, atom.right_guard
+    by_tuple: dict[tuple[Term, ...], list[tuple[int, int]]] = {}
+    for element in atom.elements:
+        masks = _literal_masks(bit, element.condition)
+        if masks is not None:
+            by_tuple.setdefault(element.terms, []).append(masks)
+    atoms = 0
+    tuples = []
+    for terms in sorted(by_tuple, key=lambda terms: tuple(term_sort_key(t) for t in terms)):
+        rows = tuple(by_tuple[terms])
+        for pos, neg in rows:
+            atoms |= pos | neg
+        first = terms[0] if terms else None
+        if first is None and function in (AggregateFunction.MAX, AggregateFunction.MIN):
+            continue
+        if function is AggregateFunction.COUNT:
+            weight = 1
+        else:
             weight = first.value if isinstance(first, IntegerConstant) else 0
-            cmp_left = cmp_right = 0
-            if first is not None and atom.left_guard is not None:
-                cmp_left = term_compare(first, atom.left_guard.term)
-            if first is not None and atom.right_guard is not None:
-                cmp_right = term_compare(first, atom.right_guard.term)
-            conditions = by_tuple[terms]
-            self.tuple_meta.append(
-                (
-                    weight,
-                    1 if terms else 0,
-                    cmp_left,
-                    cmp_right,
-                    len(self.cond_flat),
-                    len(conditions),
-                )
-            )
-            self.cond_flat.extend(conditions)
-        self.agg_meta.append(
-            (
-                1 if literal.naf else 0,
-                _KIND[atom.function],
-                *_guard_meta(atom.left_guard),
-                *_guard_meta(atom.right_guard),
-                tuple_start,
-                len(self.tuple_meta) - tuple_start,
-            )
-        )
+        cmp_left = cmp_right = 0
+        if first is not None and left is not None:
+            cmp_left = term_compare(first, left.term)
+        if first is not None and right is not None:
+            cmp_right = term_compare(first, right.term)
+        tuples.append((weight, cmp_left, cmp_right, rows))
+    return Aggregate(
+        literal.naf, function, _pack_guard(left, True), _pack_guard(right), atoms, tuple(tuples)
+    )
+
+
+def _pack_rule(bit: dict, rule: Rule):
+    """The packed rule; None when its head leaves the candidate base or its
+    body can never hold."""
+    head = 0
+    for atom in rule.head:
+        mask = bit.get(atom)
+        if mask is None:
+            return None
+        head |= mask
+    plain = [l for l in rule.body if not isinstance(l, AggregateLiteral)]
+    masks = _literal_masks(bit, plain)
+    if masks is None:
+        return None
+    aggregates = tuple(
+        _pack_aggregate(bit, l) for l in rule.body if isinstance(l, AggregateLiteral)
+    )
+    return (head, *masks, aggregates)
 
 
 def pack_program(program: GroundProgram) -> PackedProgram:
     """Pack a ground program over its derivable head atoms."""
     atoms = sorted(derivable_atoms(program), key=atom_sort_key)
-    packer = _Packer(atoms)
-    bit = packer.bit
-    conflicts: list[int] = []
+    bit = {atom: 1 << i for i, atom in enumerate(atoms)}
+    rules = [_pack_rule(bit, rule) for rule in program.rules]
+    rules = [rule for rule in rules if rule is not None]
     for atom in atoms:
         if atom.strong_negation:
-            partner = ClassicalAtom(atom.predicate, atom.args, False)
-            mask = bit.get(partner)
+            mask = bit.get(ClassicalAtom(atom.predicate, atom.args, False))
             if mask is not None:
-                conflicts.append(mask | bit[atom])
-    for rule in program.rules:
-        packer.pack_rule(rule)
-    arrays = (
-        conflicts,
-        packer.rule_meta,
-        packer.agg_index,
-        packer.agg_meta,
-        packer.tuple_meta,
-        packer.cond_flat,
-    )
-    return PackedProgram(len(atoms), tuple(atoms), tuple(tuple(a) for a in arrays))
+                rules.append((0, mask | bit[atom], 0, ()))
+    return PackedProgram(len(atoms), tuple(atoms), tuple(rules))

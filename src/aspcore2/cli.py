@@ -17,6 +17,7 @@ import enum
 import json
 import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .analysis import AnalysisResult, check_program, signature_to_text
@@ -181,17 +182,21 @@ def _cmd_solve(args) -> int:
     _core, status, ground = _ground_from_args(args, parse_program(_read_input(args.path)))
     if status is not None:
         return status
-    if args.opt:
-        sets = optimal_answer_sets(ground)
-    else:
-        sets = answer_sets(ground)
-    shown = sets if args.models == 0 else sets[: args.models]
-    for interpretation in shown:
+    # weak_cost warns of non-integer weights and levels: each message is
+    # reported once, as the analysis warnings are, on every call
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sets = optimal_answer_sets(ground) if args.opt else answer_sets(ground)
+        shown = sets if args.models == 0 else sets[: args.models]
+        costs = [weak_cost(ground, i) for i in shown] if args.opt else []
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    for index, interpretation in enumerate(shown):
         print(format_interpretation(interpretation))
         if args.opt:
-            costs = weak_cost(ground, interpretation)
-            levels = sorted((l for l in costs if isinstance(l, int)), reverse=True)
-            print(" ".join(["COSTS"] + [f"{l}={costs[l]}" for l in levels]))
+            cost = costs[index]
+            levels = sorted((l for l in cost if isinstance(l, int)), reverse=True)
+            print(" ".join(["COSTS"] + [f"{l}={cost[l]}" for l in levels]))
     return 0 if sets else 1
 
 

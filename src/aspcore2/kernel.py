@@ -1,6 +1,6 @@
-"""Depth-first search for the answer sets of packed flat arrays, the
-propagation it repeats at every node, and the truth of bodies and
-aggregates over the flat arrays.
+"""Depth-first search for the answer sets of packed rules (`_packed`),
+the propagation it repeats at every node, and the truth of bodies and
+aggregates over those rules.
 
 A partial assignment is two masks, the atoms true and the atoms false.
 Each node propagates to a fixpoint with `_Fixpoint`, then branches on the
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._packed import KIND_COUNT, KIND_MAX, KIND_MIN, KIND_SUM
+from ._packed import Aggregate
 from .analysis import DependencyGraph
 from .errors import CapacityExceeded
-from .ground import relation_holds
-from .syntax import INVERTED_RELATION, Relation
+from .ground import LESS, relation_holds
+from .syntax import AggregateFunction, Relation
 
 # Read by perfbench/worker.py and perfbench/tracer.py, which name the kernel.
 ACTIVE_KERNEL = "search"
@@ -59,200 +59,120 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _tuple_satisfied(mask: int, conds, start: int, count: int) -> bool:
-    for c in range(start, start + count):
-        pos, neg = conds[c]
-        if (mask & pos) == pos and (mask & neg) == 0:
-            return True
-    return False
-
-
-def _aggregate_true(mask: int, meta, tuples, conds) -> bool:
-    (
-        naf,
-        kind,
-        has_left,
-        left_rel,
-        left_is_int,
-        left_val,
-        has_right,
-        right_rel,
-        right_is_int,
-        right_val,
-        start,
-        count,
-    ) = meta
-    if kind in (KIND_COUNT, KIND_SUM):
-        value = 0
-        for t in range(start, start + count):
-            weight, _, _, _, cstart, ccount = tuples[t]
-            if _tuple_satisfied(mask, conds, cstart, ccount):
-                value += 1 if kind == KIND_COUNT else weight
-        truth = True
-        if has_left:
-            cmp = (value > left_val) - (value < left_val) if left_is_int else -1
-            truth = relation_holds(-cmp, left_rel)
-        if truth and has_right:
-            cmp = (value > right_val) - (value < right_val) if right_is_int else -1
-            truth = relation_holds(cmp, right_rel)
-    else:
-        # empty set: #max is -infinity (compares below all), #min +infinity
-        best_left = best_right = -1 if kind == KIND_MAX else 1
-        for t in range(start, start + count):
-            _, participates, cmp_left, cmp_right, cstart, ccount = tuples[t]
-            if participates and _tuple_satisfied(mask, conds, cstart, ccount):
-                if kind == KIND_MAX:
-                    if cmp_left > best_left:
-                        best_left = cmp_left
-                    if cmp_right > best_right:
-                        best_right = cmp_right
-                else:
-                    if cmp_left < best_left:
-                        best_left = cmp_left
-                    if cmp_right < best_right:
-                        best_right = cmp_right
-        truth = True
-        if has_left:
-            truth = relation_holds(-best_left, left_rel)
-        if truth and has_right:
-            truth = relation_holds(best_right, right_rel)
-    return truth != bool(naf)
-
-
-def _body_true(mask: int, rule, agg_index, aggs, tuples, conds) -> bool:
-    head, pos, neg, astart, acount = rule
-    if (mask & pos) != pos or (mask & neg) != 0:
-        return False
-    for a in range(astart, astart + acount):
-        if not _aggregate_true(mask, aggs[agg_index[a]], tuples, conds):
-            return False
-    return True
-
-
-def _range_truth(low: int, high: int, rel: Relation, guard: int) -> Optional[bool]:
-    """The truth of `v rel guard` for every v in [low, high]; None when it
-    varies."""
-    at_low = relation_holds((low > guard) - (low < guard), rel)
+def _guard(guard, low: int, high: int) -> Optional[bool]:
+    """The truth of `value relation bound` for every value in [low, high]:
+    True without a guard, None when it varies. A symbolic bound follows
+    every integer."""
+    if guard is None:
+        return True
+    relation, bound = guard
+    if bound is None:
+        return relation_holds(LESS, relation)
+    at_low = relation_holds((low > bound) - (low < bound), relation)
     if low == high:
         return at_low
-    at_high = relation_holds((high > guard) - (high < guard), rel)
+    at_high = relation_holds((high > bound) - (high < bound), relation)
     # = and != also change inside the range
     if at_low != at_high or (
-        rel in (Relation.EQ, Relation.NE) and low <= guard <= high
+        relation in (Relation.EQ, Relation.NE) and low <= bound <= high
     ):
         return None
     return at_low
 
 
-class _Fixpoint:
-    """Propagation over the flat arrays, driven by occurrence lists:
-    fixing an atom revisits only the rules that mention it, and the support
-    of the head atoms of each rule that can no longer fire.
+def _aggregate(aggregate: Aggregate, true: int, false: int) -> Optional[bool]:
+    """True or False once the partial assignment (true, false) decides the
+    aggregate, else None; a total assignment M is (M, ~M). `#count` and
+    `#sum` are decided once the lowest and highest values that the open
+    condition atoms still allow fall on one side of the guards; `#min`
+    and `#max` wait for all their atoms."""
+    naf, function, left, right, atoms, tuples = aggregate
+    if function is AggregateFunction.MAX or function is AggregateFunction.MIN:
+        if atoms & ~(true | false):
+            return None
+        pick = max if function is AggregateFunction.MAX else min
+        # over the empty set #max compares below every term, #min above
+        best_left = best_right = -1 if function is AggregateFunction.MAX else 1
+        for _, cmp_left, cmp_right, rows in tuples:
+            if any(not (pos & ~true or neg & true) for pos, neg in rows):
+                best_left = pick(best_left, cmp_left)
+                best_right = pick(best_right, cmp_right)
+        truth = (left is None or relation_holds(best_left, left[0])) and (
+            right is None or relation_holds(best_right, right[0])
+        )
+        return truth != naf
+    low = high = 0
+    for weight, _, _, rows in tuples:
+        possible = certain = False
+        for pos, neg in rows:
+            if pos & false or neg & true:
+                continue
+            possible = True
+            if not (pos & ~true or neg & ~false):
+                certain = True
+                break
+        if certain:
+            low += weight
+            high += weight
+        elif possible:
+            if weight > 0:
+                high += weight
+            else:
+                low += weight
+    truth = _guard(left, low, high)
+    if truth is not False:
+        right_truth = _guard(right, low, high)
+        if truth or right_truth is False:
+            truth = right_truth
+    return None if truth is None else truth != naf
 
-    Over a partial assignment, conflicts counting as constraints:
+
+def _body_true(model: int, rule) -> bool:
+    """Whether the body of `rule` holds in the total assignment `model`."""
+    _, pos, neg, aggregates = rule
+    return not (pos & ~model or neg & model) and all(
+        _aggregate(aggregate, model, ~model) for aggregate in aggregates
+    )
+
+
+class _Fixpoint:
+    """Propagation over packed rules, driven by occurrence lists: fixing an
+    atom revisits only the rules that mention it, and the support of the
+    head atoms of each rule that can no longer fire.
+
+    Over a partial assignment:
     - a rule whose body certainly holds makes its one head atom that is not
       false true;
     - an atom that no rule can still support is false;
     - a rule whose head atoms are all false and whose rest certainly holds
       refutes its one open literal: a positive atom becomes false, a naf
-      atom true;
-    - `#count` and `#sum` are decided once the lowest and highest values
-      that the open condition atoms still allow fall on one side of the
-      guards (`#min` and `#max` wait for all their atoms).
+      atom true.
     A body certainly holds when its positive atoms are true, its naf atoms
-    false and every aggregate holds. Propagation stops at a conflict: a
-    certain body without a live head atom, or a true atom that no rule can
-    still support.
+    false and every aggregate holds (`_aggregate`). Propagation stops at a
+    conflict: a certain body without a live head atom, or a true atom that
+    no rule can still support.
     """
 
     def __init__(self, flat) -> None:
-        size, conflicts, rules, agg_index, aggs, tuples, conds = flat
-        self.flat = flat
-        # conflicts act as constraints over both atoms
-        self.rules = [
-            (head, pos, neg, agg_index[astart : astart + acount])
-            for head, pos, neg, astart, acount in rules
-        ] + [(0, c, 0, ()) for c in conflicts]
-        # per aggregate: every atom its conditions mention, and its tuples
-        # as (weight, condition rows)
-        self.agg_atoms = []
-        self.agg_tuples = []
-        for meta in aggs:
-            atoms = 0
-            rows_of = []
-            for weight, _, _, _, cstart, ccount in tuples[meta[10] : meta[10] + meta[11]]:
-                rows = conds[cstart : cstart + ccount]
-                for pos, neg in rows:
-                    atoms |= pos | neg
-                rows_of.append((1 if meta[1] == KIND_COUNT else weight, rows))
-            self.agg_atoms.append(atoms)
-            self.agg_tuples.append(rows_of)
+        self.size, self.rules = flat
         # occurrence lists: the rules mentioning each atom, as a mask of
         # rule ids, and the rules with the atom in their head
-        self.watch = [0] * size
-        self.heads: list[list[int]] = [[] for _ in range(size)]
-        for number, (head, pos, neg, indices) in enumerate(self.rules):
+        self.watch = [0] * self.size
+        self.heads: list[list[int]] = [[] for _ in range(self.size)]
+        for number, (head, pos, neg, aggregates) in enumerate(self.rules):
             atoms = head | pos | neg
-            for index in indices:
-                atoms |= self.agg_atoms[index]
+            for aggregate in aggregates:
+                atoms |= aggregate.atoms
             for j in _bits(atoms):
                 self.watch[j] |= 1 << number
             for j in _bits(head):
                 self.heads[j].append(number)
 
-    def aggregate(self, index: int, true: int, false: int) -> Optional[bool]:
-        """True or False once the assignment decides the aggregate, else
-        None."""
-        _, _, _, _, aggs, tuples, conds = self.flat
-        meta = aggs[index]
-        if not self.agg_atoms[index] & ~(true | false):
-            return _aggregate_true(true, meta, tuples, conds)
-        if meta[1] in (KIND_MAX, KIND_MIN):
-            return None
-        low = high = 0
-        for weight, rows in self.agg_tuples[index]:
-            possible = certain = False
-            for pos, neg in rows:
-                if pos & false or neg & true:
-                    continue
-                possible = True
-                if not (pos & ~true or neg & ~false):
-                    certain = True
-                    break
-            if certain:
-                low += weight
-                high += weight
-            elif possible:
-                if weight > 0:
-                    high += weight
-                else:
-                    low += weight
-        naf, _, has_left, left_rel, left_is_int, left_val = meta[:6]
-        has_right, right_rel, right_is_int, right_val = meta[6:10]
-        truth: Optional[bool] = True
-        if has_left:
-            # a symbolic guard follows every integer
-            truth = (
-                _range_truth(low, high, INVERTED_RELATION[left_rel], left_val)
-                if left_is_int
-                else relation_holds(1, left_rel)
-            )
-        if truth is not False and has_right:
-            right = (
-                _range_truth(low, high, right_rel, right_val)
-                if right_is_int
-                else relation_holds(-1, right_rel)
-            )
-            if truth or right is False:
-                truth = right
-        return None if truth is None else truth != bool(naf)
-
-    def _undecided(self, indices, true: int, false: int) -> Optional[int]:
-        """How many of the aggregates `indices` are undecided; None when one
-        is false."""
+    def _undecided(self, aggregates, true: int, false: int) -> Optional[int]:
+        """How many of `aggregates` are undecided; None when one is false."""
         undecided = 0
-        for index in indices:
-            truth = self.aggregate(index, true, false)
+        for aggregate in aggregates:
+            truth = _aggregate(aggregate, true, false)
             if truth is False:
                 return None
             if truth is None:
@@ -262,10 +182,10 @@ class _Fixpoint:
     def body(self, number: int, true: int, false: int) -> Optional[bool]:
         """False when rule `number`'s body can never hold, True when it
         certainly holds, None otherwise."""
-        _, pos, neg, indices = self.rules[number]
+        _, pos, neg, aggregates = self.rules[number]
         if pos & false or neg & true:
             return False
-        undecided = self._undecided(indices, true, false)
+        undecided = self._undecided(aggregates, true, false)
         if undecided is None:
             return False
         return None if undecided or pos & ~true or neg & ~false else True
@@ -292,11 +212,11 @@ class _Fixpoint:
             while rules:
                 low = rules & -rules
                 rules ^= low
-                head, pos, neg, indices = table[low.bit_length() - 1]
+                head, pos, neg, aggregates = table[low.bit_length() - 1]
                 if head & true or pos & false or neg & true:
                     atoms |= head
                     continue
-                undecided = self._undecided(indices, true, false) if indices else 0
+                undecided = self._undecided(aggregates, true, false) if aggregates else 0
                 if undecided is None:
                     atoms |= head
                     continue
@@ -347,11 +267,11 @@ def cyclic_components(engine: _Fixpoint) -> list[int]:
     """
     headed = []
     bodies = 0
-    for head, pos, _neg, indices in engine.rules:
+    for head, pos, _neg, aggregates in engine.rules:
         if head:
             condition = 0
-            for index in indices:
-                condition |= engine.agg_atoms[index]
+            for aggregate in aggregates:
+                condition |= aggregate.atoms
             headed.append((head, pos | condition, condition))
             bodies |= pos | condition
     # only a rule with a condition or two head atoms, one of which some
@@ -404,18 +324,17 @@ def _leaves(engine: _Fixpoint, root, everything: int, spent: list[int], undecide
                 stack.append(branch)
 
 
-def _least_model_is(model: int, flat, facts: int) -> bool:
+def _least_model_is(model: int, engine: _Fixpoint, facts: int) -> bool:
     """Whether `model` is the least model of its shifted reduct with the
     atoms `facts` added as facts."""
-    _, _, rules, *arrays = flat
     # `_body_true` only for rules with aggregates: a call for every rule
     # slowed small searches by a fifth
     shifted = [
         (head & model, pos)
-        for head, pos, neg, start, count in rules
+        for head, pos, neg, aggregates in engine.rules
         if _single_bit(head & model)
         and not (pos & ~model or neg & model)
-        and (not count or _body_true(model, (head, pos, neg, start, count), *arrays))
+        and (not aggregates or _body_true(model, (head, pos, neg, aggregates)))
     ]
     derived = facts
     changed = True
@@ -428,39 +347,40 @@ def _least_model_is(model: int, flat, facts: int) -> bool:
     return derived == model
 
 
-def _smaller_model(model: int, part: int, flat, spent: list[int], undecided: int) -> bool:
+def _smaller_model(
+    model: int, part: int, engine: _Fixpoint, spent: list[int], undecided: int
+) -> bool:
     """Whether a model of the reduct lies between `model` minus the
     component `part` and `model`, `model` excluded. Only the reduct's rules
     with a head that meets `model` inside `part` alone can fail there. The
     search runs over those, a rule `j :- j` per atom j of `model` in `part`
     so that support never prunes, and the constraint that leaves one such
     atom out."""
-    size, _, rules, *arrays = flat
     inside = model & part
     kept = tuple(
         rule
-        for rule in rules
+        for rule in engine.rules
         if rule[0] & inside
         and not rule[0] & model & ~part
-        and _body_true(model, rule, *arrays)
+        and _body_true(model, rule)
     )
-    loops = tuple((1 << j, 1 << j, 0, 0, 0) for j in _bits(inside))
-    engine = _Fixpoint((size, (inside,), kept + loops, *arrays))
-    everything = (1 << size) - 1
-    root = engine.propagate(
-        model & ~part, everything & ~model, (1 << len(engine.rules)) - 1, inside
+    loops = tuple((1 << j, 1 << j, 0, ()) for j in _bits(inside))
+    smaller = _Fixpoint((engine.size, kept + loops + ((0, inside, 0, ()),)))
+    everything = (1 << engine.size) - 1
+    root = smaller.propagate(
+        model & ~part, everything & ~model, (1 << len(smaller.rules)) - 1, inside
     )
-    return next(_leaves(engine, root, everything, spent, undecided), None) is not None
+    return next(_leaves(smaller, root, everything, spent, undecided), None) is not None
 
 
 def solve_masks(flat) -> list[int]:
-    """All answer-set bitmasks of the packed flat arrays, ascending.
+    """All answer-set bitmasks of the packed rules, ascending.
 
     Raises SearchExhausted once the search and its minimality searches
     have spent NODE_BUDGET nodes together.
     """
     engine = _Fixpoint(flat)
-    everything = (1 << flat[0]) - 1
+    everything = (1 << engine.size) - 1
     cyclic = cyclic_components(engine)
     # the components are disjoint, so their sum is their union
     cycles = sum(cyclic)
@@ -470,9 +390,9 @@ def solve_masks(flat) -> list[int]:
     return sorted(
         model
         for model in _leaves(engine, root, everything, spent, undecided)
-        if _least_model_is(model, flat, model & cycles)
+        if _least_model_is(model, engine, model & cycles)
         and not any(
-            _smaller_model(model, part, flat, spent, undecided)
+            _smaller_model(model, part, engine, spent, undecided)
             for part in cyclic
             if model & part
         )

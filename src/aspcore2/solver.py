@@ -5,7 +5,7 @@ Literal satisfaction and aggregate values work directly on atom sets.
 Models and reducts are computed on numbered atoms (`_Checker`): each atom
 of the ground program is hashed once, and one pass over the rule bodies
 gives both whether an interpretation is a model and its reduct.
-Enumeration packs the ground program and searches the packed arrays
+Enumeration packs the ground program into bitmask rules and searches them
 (`kernel`), whose root propagation decides what the facts decide. The
 search decides minimality exactly for every model. Every emitted answer
 set is re-checked against the definitions on the unsimplified ground
@@ -440,7 +440,7 @@ def answer_sets(
     """All answer sets, projected onto the user signature and sorted.
 
     Packs the ground program over its derivable head atoms and searches the
-    packed arrays for the minimal models of their own reducts (`kernel`),
+    packed rules for the minimal models of their own reducts (`kernel`),
     deciding minimality exactly for every model. CapacityExceeded ends a
     search that spends `kernel.NODE_BUDGET` nodes. Each result is
     re-checked against the definitions on `ground_program` (see
@@ -489,10 +489,12 @@ def weak_cost(
     non-integer levels key by their term and are cost-neutral there. A
     warning is emitted for non-integer weights or levels.
     """
-    triples: set[tuple[Term, Term, tuple[Term, ...]]] = set()
-    for weak in ground_program.weak_constraints:
-        if all(satisfies_literal(l, interpretation) for l in weak.body):
-            triples.add((weak.weight, weak.level, weak.terms))
+    # distinct in program order, so the warnings come in a fixed order
+    triples = dict.fromkeys(
+        (weak.weight, weak.level, weak.terms)
+        for weak in ground_program.weak_constraints
+        if all(satisfies_literal(l, interpretation) for l in weak.body)
+    )
     costs: dict[Union[int, Term], int] = {}
     for weight, level, _terms in triples:
         if not isinstance(level, IntegerConstant):

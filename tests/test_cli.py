@@ -416,6 +416,22 @@ def test_solve_opt_without_weak_constraints(capsys, tmp_path):
     assert out == "{a}\nCOSTS\n"
 
 
+def test_solve_opt_reports_each_cost_warning_once_on_every_call(capsys, tmp_path):
+    # Python shows a warning once per location and prefixes its file path;
+    # the command reports it like an analysis warning, on every call, in the
+    # order of the ground weak constraints whatever the hash seed
+    path = source(tmp_path, "{a;b}. :~ a. [1@1] :~ b. [x@1] :~ b. [1@y]")
+    for _ in range(2):
+        code, out, err = run(capsys, "solve", "--opt", path)
+        assert code == 0
+        assert out == "{}\nCOSTS\n{b}\nCOSTS\n"
+        assert err == (
+            "warning: weak constraint with non-integer level does not "
+            "participate in domination\n"
+            "warning: non-integer weak constraint weight contributes no cost\n"
+        )
+
+
 def test_solve_projects_choice_auxiliaries(capsys, tmp_path):
     path = source(tmp_path, "{a}.")
     code, out, _err = run(capsys, "solve", path)

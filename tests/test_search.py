@@ -92,6 +92,36 @@ def test_textbook_counts(text, count):
             "search spent its budget of 449 nodes on 36 undecided atoms; "
             "most atoms: __aux_colour_0/3 (18), colour/2 (18)",
         ),
+        (
+            "{a; b; c; d}. :- not 1 <= #sum{-3 : a; 2 : b; 2,c : c; -1 : d} <= 2.",
+            18,
+            "search spent its budget of 17 nodes on 8 undecided atoms; "
+            "most atoms: __aux_a_0/1 (1), __aux_b_1/1 (1), __aux_c_2/1 (1) "
+            "and 5 more predicates",
+        ),
+        (
+            "{p(1); p(c); p(f(1))}. hi :- #max{X : p(X)} >= c. "
+            "lo :- #min{X : p(X)} < c. :- hi, lo.",
+            14,
+            "search spent its budget of 13 nodes on 8 undecided atoms; "
+            "most atoms: __aux_p_0/2 (3), p/1 (3), hi/0 (1) and 1 more predicates",
+        ),
+        (
+            # a #max tuple without a term
+            "{a; b; c}. ok :- #max{: a; 1 : b; 2 : c} >= 1. :- not ok.",
+            14,
+            "search spent its budget of 13 nodes on 6 undecided atoms; "
+            "most atoms: __aux_a_0/1 (1), __aux_b_1/1 (1), __aux_c_2/1 (1) "
+            "and 3 more predicates",
+        ),
+        (
+            # nodes spent in the search for a smaller model as well
+            colouring(3, 6) + " x | y. x :- y. y :- x.",
+            714,
+            "search spent its budget of 713 nodes on 38 undecided atoms; "
+            "most atoms: __aux_colour_0/3 (18), colour/2 (18), x/0 (1) "
+            "and 1 more predicates",
+        ),
     ],
 )
 def test_search_size_is_pinned(monkeypatch, text, budget, message):
@@ -166,7 +196,7 @@ def test_aggregate_bounds_match_the_oracle(text):
 
 
 def test_sum_beyond_machine_words():
-    # the packed arrays hold Python integers of any size
+    # the packed rules hold Python integers of any size
     (model,) = answer_sets(ground("a. big :- #sum{4611686018427387905 : a} > 0."))
     assert model == {ClassicalAtom("a"), ClassicalAtom("big")}
 

@@ -1,11 +1,14 @@
 """Model checking, reducts, answer sets, optimization, and queries."""
 
+import builtins
+import dis
 import itertools
 import random
+import types
 
 import pytest
 
-from aspcore2 import kernel, solver
+from aspcore2 import _packed, kernel, solver
 from aspcore2._packed import pack_program
 from aspcore2.errors import CapacityExceeded
 from aspcore2.ground import GroundProgram, UniverseBounds, builtin_truth, ground_program
@@ -439,6 +442,41 @@ def test_verification_rejects_an_inconsistent_set(monkeypatch):
 
 def test_verification_sweeps_a_reduct_with_a_head_cycle():
     assert solve("a | b. a :- b. b :- a.") == (frozenset({atom("a"), atom("b")}),)
+
+
+def _global_names(code):
+    """The global names that `code` and the code nested in it load."""
+    for instruction in dis.get_instructions(code):
+        if instruction.opname == "LOAD_GLOBAL":
+            yield instruction.argval
+    for constant in code.co_consts:
+        if isinstance(constant, types.CodeType):
+            yield from _global_names(constant)
+
+
+def test_verifier_shares_no_code_with_the_search():
+    # the re-check is a cross-check only while it shares no code with the
+    # search: no name it reads may resolve to `kernel` or `_packed`, or to
+    # an object defined there. `kernel` and `solver` both define a
+    # `_smaller_model`, so names are resolved to objects.
+    functions = [f for f in vars(_Checker).values() if isinstance(f, types.FunctionType)]
+    functions += [
+        solver._holding,
+        solver._heads_met,
+        solver._smaller_model,
+        solver._aggregates_hold,
+        solver._least_model,
+        solver._aggregate_value,
+        solver._guards_hold,
+        solver._is_consistent,
+    ]
+    search = (kernel, _packed)
+    for function in functions:
+        for name in _global_names(function.__code__):
+            value = function.__globals__.get(name, getattr(builtins, name, None))
+            assert not any(value is module for module in search), (function, name)
+            defined_in = getattr(value, "__module__", None)
+            assert defined_in not in {m.__name__ for m in search}, (function, name)
 
 
 def test_projection_strips_auxiliary_atoms():
