@@ -8,10 +8,12 @@ with a head (+agg: `full :- #count{X,Y : q(X,Y)} >= 1.` for queens,
 `many :- #count{X : colour(X,r)} >= 2.` for colouring) and with one
 head-cycle pair that shares no atom with the rest (+pair:
 `x | y. x :- y. y :- x.`), grounds the program once and then times
-`answer_sets` with `verify=True` and with `verify=False` (best of R each).
-It prints both times and the verify share, (verified - unverified) /
-verified. It exits 1 when a set count differs from its closed form: the
-known number of n-queens solutions, or `chromatic(3, n)` proper
+`answer_sets` with `verify=True` and with `verify=False` (best of R each;
+the two alternate, and each repeat swaps which runs first). It prints both
+times and the verify share, (verified - unverified) / verified, or `noise`
+where the unverified time is the larger: the host's noise then exceeds the
+cost of verification. It exits 1 when a set count differs from its closed
+form: the known number of n-queens solutions, or `chromatic(3, n)` proper
 colourings of the cycle; the aggregate rule adds an atom to some sets and
 the pair adds two to every set, and neither removes one, so the counts
 hold for all three variants.
@@ -52,14 +54,20 @@ def cases(queen_sizes, cycle_sizes):
         yield f"3-colour {n}-cycle +pair", colouring(3, n) + PAIR, chromatic(3, n)
 
 
-def best_of(repeats, fn):
-    """The least time of `repeats` calls, with the result of the last."""
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        seconds.append(time.perf_counter() - start)
-    return min(seconds), result
+def best_of_pair(repeats, first, second):
+    """The least time of `repeats` calls of each function, with the result
+    of the last call of `first`. The calls alternate, and each repeat swaps
+    which runs first, so that drift of the host's speed hits both."""
+    seconds = ([], [])
+    for repeat in range(repeats):
+        order = (0, 1) if repeat % 2 == 0 else (1, 0)
+        for which in order:
+            start = time.perf_counter()
+            result = (first, second)[which]()
+            seconds[which].append(time.perf_counter() - start)
+            if which == 0:
+                kept = result
+    return min(seconds[0]), min(seconds[1]), kept
 
 
 def main(argv=None):
@@ -74,10 +82,13 @@ def main(argv=None):
     print(f"{'program':<26}{'sets':>7}{'verify':>10}{'no verify':>11}{'share':>8}")
     for name, text, expected in cases(args.queens, args.cycles):
         program = ground_program(desugar(parse_program(text)), UniverseBounds())
-        verified, sets = best_of(args.repeats, lambda: answer_sets(program))
-        unverified, _ = best_of(args.repeats, lambda: answer_sets(program, verify=False))
-        share = (verified - unverified) / verified
-        print(f"{name:<26}{len(sets):>7}{verified:>9.3f}s{unverified:>10.3f}s{share:>8.0%}")
+        verified, unverified, sets = best_of_pair(
+            args.repeats,
+            lambda: answer_sets(program),
+            lambda: answer_sets(program, verify=False),
+        )
+        share = f"{(verified - unverified) / verified:.0%}" if verified >= unverified else "noise"
+        print(f"{name:<26}{len(sets):>7}{verified:>9.3f}s{unverified:>10.3f}s{share:>8}")
         if len(sets) != expected:
             print(f"  {name}: {len(sets)} answer sets, expected {expected}")
             status = 1

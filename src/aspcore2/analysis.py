@@ -33,6 +33,8 @@ from .syntax import (
     WeakConstraint,
     atom_terms,
     atom_variables,
+    element_variables,
+    global_terms,
     is_aux_name,
     iter_element_terms,
     render_aux_name,
@@ -129,27 +131,10 @@ def _literal_bindings(
 
 def global_variables(statement: Statement) -> frozenset[str]:
     """Variables appearing outside aggregate elements."""
-    out: set[str] = set()
-    if isinstance(statement, Rule):
-        for atom in statement.head_atoms():
-            out |= atom_variables(atom)
-        literals: tuple[BodyLiteral, ...] = statement.body
-    elif isinstance(statement, WeakConstraint):
-        out |= term_variables(statement.weight)
-        out |= term_variables(statement.level)
-        for term in statement.terms:
-            out |= term_variables(term)
-        literals = statement.body
-    else:
-        return frozenset(atom_variables(statement.atom))
-    for literal in literals:
-        if isinstance(literal, AggregateLiteral):
-            for guard in (literal.atom.left_guard, literal.atom.right_guard):
-                if guard is not None:
-                    out |= term_variables(guard.term)
-        else:
-            out |= atom_variables(literal.atom)
-    return frozenset(out)
+    names: set[str] = set()
+    for term in global_terms(statement):
+        names |= term_variables(term)
+    return frozenset(names)
 
 
 @dataclass(frozen=True)
@@ -182,10 +167,8 @@ def _diagnose_unbound(
             for guard in (literal.atom.left_guard, literal.atom.right_guard):
                 if guard is not None and name in term_variables(guard.term):
                     aggregate_hit = True
-            for element in literal.atom.elements:
-                for term in iter_element_terms(element):
-                    if name in term_variables(term):
-                        aggregate_hit = True
+            if any(name in element_variables(e) for e in literal.atom.elements):
+                aggregate_hit = True
     return "(iii)" if aggregate_hit else "(i)"
 
 
@@ -227,10 +210,7 @@ def check_safety(statement: Statement) -> SafetyReport:
         if not isinstance(literal, AggregateLiteral):
             continue
         for element in literal.atom.elements:
-            element_vars: set[str] = set()
-            for term in iter_element_terms(element):
-                element_vars |= term_variables(term)
-            local = frozenset(element_vars - scope)
+            local = frozenset(element_variables(element) - scope)
             bound_local = bound_variables(element.condition, local)
             for name in sorted(local - bound_local):
                 unbound.append(

@@ -21,18 +21,18 @@ import warnings
 from typing import Optional, Sequence
 
 from .analysis import AnalysisResult, check_program, signature_to_text
-from .errors import AspCoreError, BoundExceeded, CapacityExceeded, LexError, ParseError
+from .errors import BoundExceeded, CapacityExceeded, LexError, ParseError
 from .ground import GroundProgram, UniverseBounds, ground_program
 from .lexer import tokenize
 from .parser import parse_program
 from .rewrite import desugar
 from .solver import (
     Interpretation,
+    _optimal_with_costs,
     answer_query,
     answer_sets,
     atom_order_key,
-    optimal_answer_sets,
-    weak_cost,
+    weak_cost,  # unused here; perfbench/worker.py reads `cli.weak_cost`
 )
 from .syntax import (
     Program,
@@ -186,9 +186,8 @@ def _cmd_solve(args) -> int:
     # reported once, as the analysis warnings are, on every call
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sets = optimal_answer_sets(ground) if args.opt else answer_sets(ground)
+        sets, costs = _optimal_with_costs(ground) if args.opt else (answer_sets(ground), [])
         shown = sets if args.models == 0 else sets[: args.models]
-        costs = [weak_cost(ground, i) for i in shown] if args.opt else []
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     for index, interpretation in enumerate(shown):

@@ -40,7 +40,6 @@ from .syntax import (
     IntegerConstant,
     NafLiteral,
     Program,
-    Query,
     Relation,
     Rule,
     Statement,
@@ -50,10 +49,11 @@ from .syntax import (
     Variable,
     WeakConstraint,
     aggregate_element_to_text,
-    atom_terms,
     atom_variables,
     body_literal_to_text,
     classical_atom_to_text,
+    element_variables,
+    global_terms,
     iter_element_terms,
     iter_statement_terms,
     iter_subterms,
@@ -190,29 +190,6 @@ def instantiate_atom(
 # Well-formed substitutions
 
 
-def _global_terms(statement: Statement) -> Iterator[Term]:
-    """Term positions outside aggregate elements."""
-    if isinstance(statement, Query):
-        yield from statement.atom.args
-        return
-    if isinstance(statement, Rule):
-        if isinstance(statement.head, ChoiceAtom):
-            raise ValueError("statement must be desugared before grounding")
-        for atom in statement.head:
-            yield from atom.args
-    else:
-        yield statement.weight
-        yield statement.level
-        yield from statement.terms
-    for literal in statement.body:
-        if isinstance(literal, AggregateLiteral):
-            for guard in (literal.atom.left_guard, literal.atom.right_guard):
-                if guard is not None:
-                    yield guard.term
-        else:
-            yield from atom_terms(literal.atom)
-
-
 def is_well_formed(terms: Iterable[Term], sigma: Substitution) -> bool:
     """True iff every arithmetic subterm of the terms evaluates (no division
     by zero, no symbolic operands) under the substitution."""
@@ -248,20 +225,7 @@ def build_universe(program: Program, bounds: UniverseBounds) -> list[Term]:
     """The bounded Herbrand universe: integers in [-max_int, max_int] plus
     any appearing in the program, its constants, and functional terms over
     its functors nested up to max_nesting."""
-    integers, symbolics, strings, functors = program_constants(program)
-    integers.update(range(-bounds.max_int, bounds.max_int + 1))
-    layer: list[Term] = [IntegerConstant(v) for v in sorted(integers)]
-    layer.extend(SymbolicConstant(name) for name in sorted(symbolics))
-    layer.extend(StringConstant(value) for value in sorted(strings))
-    universe = dict.fromkeys(layer)
-    for _ in range(bounds.max_nesting):
-        previous = list(universe)
-        for functor, arity in sorted(functors):
-            for args in itertools.product(previous, repeat=arity):
-                universe.setdefault(FunctionalTerm(functor, args))
-        if len(universe) == len(previous):
-            break
-    return sorted(universe, key=term_sort_key)
+    return _LazyUniverse(program, bounds).terms
 
 
 class _LazyUniverse:
@@ -271,8 +235,9 @@ class _LazyUniverse:
     f/n, f applied to every n terms of the layer below."""
 
     def __init__(self, program: Program, bounds: UniverseBounds) -> None:
-        self.program, self.bounds = program, bounds
-        integers, symbolics, strings, functors = program_constants(program)
+        self.bounds = bounds
+        self.constants = program_constants(program)
+        integers, symbolics, strings, functors = self.constants
         integers.update(range(-bounds.max_int, bounds.max_int + 1))
         base = self.size = len(integers) + len(symbolics) + len(strings)
         for _ in range(bounds.max_nesting if functors else 0):
@@ -280,7 +245,19 @@ class _LazyUniverse:
 
     @functools.cached_property
     def terms(self) -> list[Term]:
-        return build_universe(self.program, self.bounds)
+        integers, symbolics, strings, functors = self.constants
+        layer: list[Term] = [IntegerConstant(v) for v in sorted(integers)]
+        layer.extend(SymbolicConstant(name) for name in sorted(symbolics))
+        layer.extend(StringConstant(value) for value in sorted(strings))
+        universe = dict.fromkeys(layer)
+        for _ in range(self.bounds.max_nesting):
+            previous = list(universe)
+            for functor, arity in sorted(functors):
+                for args in itertools.product(previous, repeat=arity):
+                    universe.setdefault(FunctionalTerm(functor, args))
+            if len(universe) == len(previous):
+                break
+        return sorted(universe, key=term_sort_key)
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
@@ -589,8 +566,7 @@ class _Grounder:
         atom, guard = literal.atom, literal.atom.right_guard
         guards = [side.term for side in (atom.left_guard, guard) if side is not None]
         guard_vars = set().union(*map(term_variables, guards))
-        element_terms = [t for element in atom.elements for t in iter_element_terms(element)]
-        element_vars = set().union(*map(term_variables, element_terms))
+        element_vars = set().union(*map(element_variables, atom.elements))
         equality = guard is not None and guard.relation is Relation.EQ and atom.left_guard is None
         binds_guard = equality and not literal.naf and bool(guard_vars - bound)
         if not (binds_guard or guard_vars <= bound):
@@ -874,8 +850,7 @@ def _over_naive_budget(count: int, what: str, names: Iterable[str]) -> BoundExce
 
 
 def _local_names(element: AggregateElement, bound: Iterable[str]) -> list[str]:
-    local_vars = set().union(*map(term_variables, iter_element_terms(element)))
-    return sorted(local_vars - set(bound))
+    return sorted(element_variables(element).difference(bound))
 
 
 def instantiate_element(
@@ -927,7 +902,7 @@ def _naive_statement_instances(
         raise _over_naive_budget(count, what, every_name)
     for combo in itertools.product(*[universe] * len(names)):
         sigma = dict(zip(names, combo))
-        if not is_well_formed(_global_terms(statement), sigma):
+        if not is_well_formed(global_terms(statement), sigma):
             continue
         body: list[BodyLiteral] = []
         for literal in statement.body:

@@ -525,12 +525,21 @@ def optimal_answer_sets(
     costs over the union of all integer levels form the least key.
     Nothing reads `brute_force_limit` (see `answer_sets`).
     """
+    return _optimal_with_costs(ground_program)[0]
+
+
+def _optimal_with_costs(
+    ground_program: GroundProgram,
+) -> tuple[tuple[Interpretation, ...], list[dict[Union[int, Term], int]]]:
+    """`optimal_answer_sets` and the `weak_cost` of each, every answer set
+    costed once."""
     sets = answer_sets(ground_program)
     costs = [weak_cost(ground_program, i) for i in sets]
     levels = sorted({l for c in costs for l in c if isinstance(l, int)}, reverse=True)
     keys = [tuple(c.get(level, 0) for level in levels) for c in costs]
     best = min(keys, default=None)
-    return tuple(s for s, key in zip(sets, keys) if key == best)
+    optimal = [(s, c) for s, c, key in zip(sets, costs, keys) if key == best]
+    return tuple(s for s, _ in optimal), [c for _, c in optimal]
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, Iterator, NamedTuple, Optional, Union, get_args
 
 
 class Span(NamedTuple):
@@ -305,9 +305,13 @@ def _render_name(name: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Generic walkers: bottom-up term transformation and term iteration over
-# whole statements. Used by the rewriter (renaming), grounder (substitution)
-# and analyses (variable collection).
+# Generic walkers, each defined once: bottom-up rewriting of every term of a
+# statement (the rewriter names anonymous variables with it), iteration over
+# top-level term positions, the global positions (outside aggregate
+# elements) and the variables of an aggregate element. The safety analysis
+# and both grounders read the last two.
+
+_TERM_CLASSES = get_args(Term)
 
 
 def transform_term(term: Term, fn: Callable[[Term], Term]) -> Term:
@@ -319,85 +323,31 @@ def transform_term(term: Term, fn: Callable[[Term], Term]) -> Term:
     return fn(term)
 
 
-def _transform_atom(atom, fn):
-    if isinstance(atom, ClassicalAtom):
-        return ClassicalAtom(
-            atom.predicate,
-            tuple(transform_term(t, fn) for t in atom.args),
-            atom.strong_negation,
-        )
-    return BuiltinAtom(
-        transform_term(atom.left, fn), atom.relation, transform_term(atom.right, fn)
-    )
+@functools.cache
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """The field names of a node class, None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
-def _transform_naf_literal(literal: NafLiteral, fn) -> NafLiteral:
-    return NafLiteral(_transform_atom(literal.atom, fn), literal.naf)
-
-
-def _transform_guard(guard: Optional[Guard], fn) -> Optional[Guard]:
-    if guard is None:
-        return None
-    return Guard(transform_term(guard.term, fn), guard.relation)
-
-
-def _transform_body_literal(literal: BodyLiteral, fn) -> BodyLiteral:
-    if isinstance(literal, AggregateLiteral):
-        atom = literal.atom
-        elements = tuple(
-            AggregateElement(
-                tuple(transform_term(t, fn) for t in e.terms),
-                tuple(_transform_naf_literal(l, fn) for l in e.condition),
-                e.explicit_colon,
-            )
-            for e in atom.elements
-        )
-        return AggregateLiteral(
-            AggregateAtom(
-                atom.function,
-                elements,
-                _transform_guard(atom.left_guard, fn),
-                _transform_guard(atom.right_guard, fn),
-            ),
-            literal.naf,
-        )
-    return _transform_naf_literal(literal, fn)
+def _transform_node(node, fn: Callable[[Term], Term]):
+    # `fn` sees the terms in field order (an aggregate's elements before its
+    # guards). A `Span` is a tuple subclass and stays as it is; rebuilt nodes
+    # start unrendered, since `_text` is a slot and not a field.
+    if isinstance(node, _TERM_CLASSES):
+        return transform_term(node, fn)
+    if type(node) is tuple:
+        return tuple([_transform_node(item, fn) for item in node])
+    names = _field_names(type(node))
+    if names is None:
+        return node
+    return type(node)(*[_transform_node(getattr(node, name), fn) for name in names])
 
 
 def transform_statement(statement: Statement, fn: Callable[[Term], Term]) -> Statement:
     """Rebuild a statement with `fn` applied to every term node."""
-    if isinstance(statement, Rule):
-        if isinstance(statement.head, ChoiceAtom):
-            choice = statement.head
-            head: Union[tuple[ClassicalAtom, ...], ChoiceAtom] = ChoiceAtom(
-                tuple(
-                    ChoiceElement(
-                        _transform_atom(e.atom, fn),
-                        tuple(_transform_naf_literal(l, fn) for l in e.condition),
-                    )
-                    for e in choice.elements
-                ),
-                _transform_guard(choice.left_guard, fn),
-                _transform_guard(choice.right_guard, fn),
-            )
-        else:
-            head = tuple(_transform_atom(a, fn) for a in statement.head)
-        return Rule(
-            head,
-            tuple(_transform_body_literal(l, fn) for l in statement.body),
-            span=statement.span,
-        )
-    if isinstance(statement, WeakConstraint):
-        return WeakConstraint(
-            tuple(_transform_body_literal(l, fn) for l in statement.body),
-            transform_term(statement.weight, fn),
-            transform_term(statement.level, fn),
-            tuple(transform_term(t, fn) for t in statement.terms),
-            span=statement.span,
-        )
-    if isinstance(statement, Query):
-        return Query(_transform_atom(statement.atom, fn), span=statement.span)
-    raise TypeError(f"not a statement: {statement!r}")
+    if not isinstance(statement, (Rule, WeakConstraint, Query)):
+        raise TypeError(f"not a statement: {statement!r}")
+    return _transform_node(statement, fn)
 
 
 def iter_subterms(term: Term) -> Iterator[Term]:
@@ -454,6 +404,15 @@ def iter_element_terms(element: AggregateElement) -> Iterator[Term]:
         yield from atom_terms(cond.atom)
 
 
+def element_variables(element: AggregateElement) -> set[str]:
+    """Names of the variables of an aggregate element, its condition
+    included."""
+    names: set[str] = set()
+    for term in iter_element_terms(element):
+        names |= term_variables(term)
+    return names
+
+
 def _iter_body_literal_terms(literal: BodyLiteral) -> Iterator[Term]:
     if isinstance(literal, AggregateLiteral):
         atom = literal.atom
@@ -493,6 +452,29 @@ def iter_statement_terms(statement: Statement) -> Iterator[Term]:
         yield from statement.atom.args
     else:
         raise TypeError(f"not a statement: {statement!r}")
+
+
+def global_terms(statement: Statement) -> Iterator[Term]:
+    """The top-level term positions outside aggregate elements: the global
+    variables of the safety definition are the variables of these terms.
+    A choice head has none; desugaring compiles choice heads away first."""
+    if isinstance(statement, Query):
+        yield from statement.atom.args
+        return
+    if isinstance(statement, Rule):
+        for atom in statement.head_atoms():
+            yield from atom.args
+    else:
+        yield statement.weight
+        yield statement.level
+        yield from statement.terms
+    for literal in statement.body:
+        if isinstance(literal, AggregateLiteral):
+            for guard in (literal.atom.left_guard, literal.atom.right_guard):
+                if guard is not None:
+                    yield guard.term
+        else:
+            yield from atom_terms(literal.atom)
 
 
 def statement_variables(statement: Statement) -> set[str]:

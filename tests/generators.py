@@ -237,3 +237,37 @@ def queens(n: int) -> str:
 :- q(X1,Y), q(X2,Y), X1 < X2.
 :- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y2 - Y1.
 :- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y1 - Y2."""
+
+
+def hamiltonian(n: int, rng: random.Random) -> str:
+    """Hamiltonian paths on n >= 4 nodes: the ring i -> i+1 mod n plus 3
+    out-edges per node, drawn by `rng.sample` over the other nodes.
+
+    The answer sets are the Hamiltonian paths from node 0, plus one more
+    set for each path whose last node has an edge back to 0, which closes
+    it into a cycle. The program is not tight: `r` depends positively on
+    itself."""
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for i in range(n):
+        edges.update((i, j) for j in rng.sample([j for j in range(n) if j != i], 3))
+    facts = [f"node({i})." for i in range(n)]
+    facts += [f"edge({i},{j})." for i, j in sorted(edges)]
+    return " ".join(facts) + """
+{in(X,Y)} :- edge(X,Y).
+:- in(X,Y), in(X,Z), Y != Z.
+:- in(X,Y), in(Z,Y), X != Z.
+r(0). r(Y) :- r(X), in(X,Y).
+:- node(X), not r(X)."""
+
+
+def saturation(n: int, valid: bool) -> str:
+    """Saturation over n variables: `p(i) | q(i)` for each i < n, both made
+    true by `w`, and `w` derived from all of q or from any p(i), with `w`
+    required. A valid program has one answer set, all 2n+1 atoms. The
+    invalid one leaves out `w :- p(0).` and has none: `p(0)` with the other
+    q's is then a smaller model of the saturated set's reduct."""
+    rules = [f"p({i}) | q({i}). p({i}) :- w. q({i}) :- w." for i in range(n)]
+    rules += [f"w :- p({i})." for i in range(0 if valid else 1, n)]
+    rules.append("w :- " + ", ".join(f"q({i})" for i in range(n)) + ".")
+    rules.append(":- not w.")
+    return "\n".join(rules)

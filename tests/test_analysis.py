@@ -11,12 +11,20 @@ from aspcore2.analysis import (
     check_arities,
     check_program,
     check_safety,
+    global_variables,
     lint_undefined_arithmetic,
     signature_to_text,
 )
 from aspcore2.parser import parse_program
 from aspcore2.rewrite import desugar
-from aspcore2.syntax import ArithmeticTerm, ArithOp, iter_statement_terms, iter_subterms
+from aspcore2.syntax import (
+    AggregateLiteral,
+    ArithmeticTerm,
+    ArithOp,
+    element_variables,
+    iter_statement_terms,
+    iter_subterms,
+)
 
 
 def analyze(text):
@@ -166,6 +174,32 @@ def test_variable_free_statements_are_safe():
     for report in safety_reports("a. b :- a, not c. :- a, b. :~ a. [1@0] a?"):
         assert report.safe
         assert report.describe() == "safe"
+
+
+@pytest.mark.parametrize(
+    "text, global_names, element_names",
+    [
+        (
+            "p(X) :- q(X), #count{Y,X : r(Y,Z)} = N, M < #sum{W : s(W,f(V))}.",
+            {"X", "N", "M"},
+            [{"Y", "X", "Z"}, {"W", "V"}],
+        ),
+        (":~ q(X), #max{Y : r(Y,Z)} > G. [W@L,T]", {"X", "G", "W", "L", "T"}, [{"Y", "Z"}]),
+        ("p(X,f(Y))?", {"X", "Y"}, []),
+    ],
+)
+def test_global_and_element_variables(text, global_names, element_names):
+    # guard variables are global; element variables are not, unless they
+    # also occur outside the aggregate (X in the rule)
+    (statement,) = desugar(parse_program(text)).statements()
+    assert global_variables(statement) == global_names
+    elements = [
+        element
+        for literal in getattr(statement, "body", ())
+        if isinstance(literal, AggregateLiteral)
+        for element in literal.atom.elements
+    ]
+    assert [element_variables(element) for element in elements] == element_names
 
 
 # --------------------------------------------------------------------------

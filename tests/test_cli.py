@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aspcore2
-from aspcore2 import kernel
+from aspcore2 import cli, kernel, solver
 from aspcore2.cli import main
 
 # the command-line subprocesses import the package these tests import,
@@ -430,6 +430,24 @@ def test_solve_opt_reports_each_cost_warning_once_on_every_call(capsys, tmp_path
             "participate in domination\n"
             "warning: non-integer weak constraint weight contributes no cost\n"
         )
+
+
+def test_solve_opt_costs_each_answer_set_once(capsys, tmp_path, monkeypatch):
+    # four answer sets, of which {} and {c} are optimal and both printed
+    calls = []
+    weak_cost = solver.weak_cost
+
+    def counted(*args):
+        calls.append(args[1])
+        return weak_cost(*args)
+
+    monkeypatch.setattr(solver, "weak_cost", counted)
+    monkeypatch.setattr(cli, "weak_cost", counted)
+    path = source(tmp_path, "{a;c}. :~ a. [1@1]")
+    code, out, _err = run(capsys, "solve", "--opt", path)
+    assert code == 0
+    assert out == "{}\nCOSTS\n{c}\nCOSTS\n"
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_solve_projects_choice_auxiliaries(capsys, tmp_path):

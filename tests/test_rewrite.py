@@ -18,9 +18,11 @@ from aspcore2.syntax import (
     IntegerConstant,
     NafLiteral,
     Relation,
+    Span,
     SymbolicConstant,
     Variable,
     statement_to_text,
+    transform_statement,
 )
 
 
@@ -133,6 +135,40 @@ def test_anonymous_renaming_avoids_existing_names():
 def test_anonymous_in_weak_constraints_and_queries():
     assert core_lines(":~ q(_). [1@_]") == [":~ q(V1). [1@V2]"]
     assert core_lines("p(_)?") == ["p(V1)?"]
+
+
+def test_anonymous_variables_are_named_in_every_term_position():
+    # `_` in a choice element's atom and condition, the choice guard, both
+    # aggregate guards, element terms and condition, both builtin sides,
+    # inside functional and arithmetic terms, under strong negation, in the
+    # weak weight, level and terms, and in a query; V1 and V2 already occur
+    text = (
+        "_ <= {p(_,V1) : q(_,f(_)); -r(_+1)} :- s(V2,_).\n"
+        "-p(_,V1) :- q(f(_),-_), _ < _*2, _ < #count{_,V2 : r(_,V2), not -r(_)} <= _.\n"
+        ":~ p(_,V1), #sum{_ : q(_)} = _. [_@_,V1,f(_)]\n"
+        "-p(_,g(V1,_+_))?"
+    )
+    program = parse_program(text)
+    core = desugar(program)
+    assert [statement_to_text(s) for s in core.statements()] == [
+        "p(V3,V1) | __aux_p_0(1,V3,V1) :- s(V2,V8), q(V4,f(V5)).",
+        "-r(V6+1) | __aux_r_1(0,V6+1) :- s(V2,V8).",
+        ":- s(V2,V8), not #count{__aux_p_0(1,V3,V1) : p(V3,V1), q(V4,f(V5)); "
+        "__aux_r_1(0,V6+1) : -r(V6+1)} >= V7.",
+        "-p(V3,V1) :- q(f(V4),-V5), V6 < V7*2, #count{V8,V2 : r(V9,V2), not -r(V10)} > V11, "
+        "#count{V8,V2 : r(V9,V2), not -r(V10)} <= V12.",
+        ":~ p(V2,V1), #sum{V3 : q(V4)} = V5. [V6@V7,V1,f(V8)]",
+        "-p(V2,g(V1,V3+V4))?",
+    ]
+    choice, rule, weak, query = program.statements()
+    spans = [s.span for s in core.statements()]
+    assert spans == [choice.span] * 3 + [rule.span, weak.span, query.span]
+    assert all(type(span) is Span for span in spans)
+
+
+def test_transform_statement_refuses_a_node_that_is_not_a_statement():
+    with pytest.raises(TypeError, match="not a statement"):
+        transform_statement(ClassicalAtom("p"), lambda term: term)
 
 
 def test_desugaring_is_idempotent_on_core_programs():

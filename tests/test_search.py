@@ -1,6 +1,8 @@
 """The search kernel against the oracle."""
 
+import itertools
 import random
+import re
 import time
 
 import pytest
@@ -17,9 +19,11 @@ from aspcore2.syntax import ClassicalAtom, IntegerConstant, NafLiteral, Rule, Sy
 from generators import (
     _random_aggregate,
     colouring,
+    hamiltonian,
     queens,
     random_ground_program,
     random_query_program,
+    saturation,
 )
 from oracles import oracle_answer_sets, program_atoms
 
@@ -75,6 +79,61 @@ def test_search_matches_oracle_on_unfolded_random_programs():
 )
 def test_textbook_counts(text, count):
     assert len(answer_sets(ground(text))) == count
+
+
+def edges_of(text):
+    return {(int(i), int(j)) for i, j in re.findall(r"edge\((\d+),(\d+)\)", text)}
+
+
+def hamiltonian_reference(n, edges):
+    """The `in/2` edges of each answer set of `hamiltonian`, by permutation:
+    every path from 0 through all nodes, and each one closed into a cycle
+    where its last node has an edge back to 0."""
+    out = set()
+    for order in itertools.permutations(range(1, n)):
+        path = list(zip((0,) + order, order))
+        if all(edge in edges for edge in path):
+            out.add(frozenset(path))
+            if (order[-1], 0) in edges:
+                out.add(frozenset(path + [(order[-1], 0)]))
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_hamiltonian_answer_sets_are_the_paths_from_node_0(n):
+    text = hamiltonian(n, random.Random(3))
+    got = {
+        frozenset((a.args[0].value, a.args[1].value) for a in s if a.predicate == "in")
+        for s in answer_sets(ground(text))
+    }
+    assert got == hamiltonian_reference(n, edges_of(text))
+
+
+def test_hamiltonian_instances_drawn_in_turn_from_one_generator():
+    rng = random.Random(3)
+    texts = [hamiltonian(n, rng) for n in (8, 10, 12)]
+
+    # extends paths from 0 edge by edge: the permutations that are paths,
+    # without trying all 11! of them at n = 12
+    def count(n, edges, path):
+        if len(path) == n:
+            return 1 + ((path[-1], 0) in edges)
+        return sum(
+            count(n, edges, path + [j])
+            for j in range(n)
+            if j not in path and (path[-1], j) in edges
+        )
+
+    counts = [count(n, edges_of(text), [0]) for n, text in zip((8, 10, 12), texts)]
+    assert counts == [128, 281, 568]
+    assert counts[0] == len(hamiltonian_reference(8, edges_of(texts[0])))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_saturation_has_one_full_answer_set_exactly_when_valid(n):
+    (full,) = answer_sets(ground(saturation(n, True)))
+    assert len(full) == 2 * n + 1
+    assert answer_sets(ground(saturation(n, False))) == ()
 
 
 @pytest.mark.parametrize(
