@@ -4,9 +4,13 @@ Provides the total order on ground terms, arithmetic evaluation with an
 explicit `undefined` outcome, well-formedness of substitutions, aggregate
 element instantiation, and two grounders: a bottom-up one restricted to
 potentially derivable atoms (component by component, semi-naive, each body
-joined by a plan made once per call over argument-indexed atoms), and a naive
-one enumerating every substitution over the bounded universe (the literal
-definition, kept for differential testing).
+joined by a plan made once per call over argument-indexed atoms, with its
+builtins and arithmetic compiled into closures when the plan is made; a
+variable-free statement is decided once per call, without a plan), and a
+naive one enumerating every substitution over the bounded universe (the
+literal definition, kept for differential testing). `eval_arithmetic`,
+`builtin_truth` and `relation_holds` are the reference definitions the
+compiled closures agree with.
 """
 
 from __future__ import annotations
@@ -153,20 +157,94 @@ def eval_arithmetic(term: Term, sigma: Optional[Substitution] = None) -> Optiona
             if not isinstance(value, IntegerConstant):
                 return None
             operands.append(value.value)
-        if term.op is ArithOp.NEG:
-            return IntegerConstant(-operands[0])
-        a, b = operands
-        if term.op is ArithOp.ADD:
-            return IntegerConstant(a + b)
-        if term.op is ArithOp.SUB:
-            return IntegerConstant(a - b)
-        if term.op is ArithOp.MUL:
-            return IntegerConstant(a * b)
-        if b == 0:
-            return None
-        quotient = abs(a) // abs(b)
-        return IntegerConstant(-quotient if (a < 0) != (b < 0) else quotient)
+        value = _OPERATIONS[term.op](*operands)
+        return None if value is None else IntegerConstant(value)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _divide(a: int, b: int) -> Optional[int]:
+    """a / b truncated toward zero, so -7/2 is -3; None when b is 0."""
+    if b == 0:
+        return None
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+_OPERATIONS = {
+    ArithOp.NEG: operator.neg,
+    ArithOp.ADD: operator.add,
+    ArithOp.SUB: operator.sub,
+    ArithOp.MUL: operator.mul,
+    ArithOp.DIV: _divide,
+}
+
+
+def _reader(term: Term) -> Callable[[Substitution], Optional[Term]]:
+    """`eval_arithmetic` of `term`, compiled once into a function of a
+    substitution that binds the term's variables."""
+    if isinstance(term, Variable):
+        return operator.itemgetter(term.name)
+    if isinstance(term, (IntegerConstant, SymbolicConstant, StringConstant)):
+        return lambda sigma: term
+    if not term_variables(term):
+        value = eval_arithmetic(term)
+        return lambda sigma: value
+    if isinstance(term, FunctionalTerm):
+        args, functor = _tuple_reader(term.args), term.functor
+        return lambda sigma: (
+            None if (values := args(sigma)) is None else FunctionalTerm(functor, values)
+        )
+    number = _int_reader(term)
+    return lambda sigma: None if (n := number(sigma)) is None else IntegerConstant(n)
+
+
+def _int_reader(term: Term) -> Callable[[Substitution], Optional[int]]:
+    """The integer value of `term` as a plain int, or None when it is
+    undefined or not an integer; like `_reader`, compiled once."""
+    if not term_variables(term):
+        value = eval_arithmetic(term)
+        number = value.value if isinstance(value, IntegerConstant) else None
+        return lambda sigma: number
+    if isinstance(term, Variable):
+        name = term.name
+        return lambda sigma: v.value if type(v := sigma[name]) is IntegerConstant else None
+    if isinstance(term, FunctionalTerm):
+        return lambda sigma: None
+    if term.op is ArithOp.NEG:
+        operand = _int_reader(term.args[0])
+        return lambda sigma: None if (a := operand(sigma)) is None else -a
+    left, right = map(_int_reader, term.args)
+    operation = _OPERATIONS[term.op]
+    return lambda sigma: (
+        None if (a := left(sigma)) is None or (b := right(sigma)) is None else operation(a, b)
+    )
+
+
+def _tuple_reader(terms: Sequence[Term]) -> Callable[[Substitution], Optional[tuple]]:
+    """The values of `terms` as their `_reader`s give them, or None when one
+    is undefined."""
+    readers = [_reader(term) for term in terms]
+
+    def read(sigma):
+        values = []
+        for read_one in readers:
+            if (value := read_one(sigma)) is None:
+                return None
+            values.append(value)
+        return tuple(values)
+
+    return read
+
+
+def _atom_reader(atom: ClassicalAtom) -> Callable[[Substitution], Optional[ClassicalAtom]]:
+    """`instantiate_atom` of a classical atom, compiled once; an atom whose
+    arguments are constants is its own instance."""
+    if all(isinstance(arg, (IntegerConstant, SymbolicConstant, StringConstant)) for arg in atom.args):
+        return lambda sigma: atom
+    args, predicate, negated = _tuple_reader(atom.args), atom.predicate, atom.strong_negation
+    return lambda sigma: (
+        None if (values := args(sigma)) is None else ClassicalAtom(predicate, values, negated)
+    )
 
 
 def instantiate_atom(
@@ -373,38 +451,55 @@ def match_atom(pattern: ClassicalAtom, atom: ClassicalAtom) -> Optional[Substitu
     return None if matched is None or matched[1] else matched[0]
 
 
+# The truth of each relation between two integers, or between a three-way
+# comparison (LESS, EQUAL or GREATER) and EQUAL
+_RELATIONS = {
+    Relation.LT: operator.lt,
+    Relation.LE: operator.le,
+    Relation.EQ: operator.eq,
+    Relation.NE: operator.ne,
+    Relation.GT: operator.gt,
+    Relation.GE: operator.ge,
+}
+
+
 def relation_holds(comparison: int, relation: Relation) -> bool:
     """Truth of `relation` between two values whose three-way comparison
     (LESS, EQUAL or GREATER) is given."""
-    if relation is Relation.LT:
-        return comparison == LESS
-    if relation is Relation.GT:
-        return comparison == GREATER
-    if relation is Relation.LE:
-        return comparison != GREATER
-    if relation is Relation.GE:
-        return comparison != LESS
-    if relation is Relation.EQ:
-        return comparison == EQUAL
-    return comparison != EQUAL
+    return _RELATIONS[relation](comparison, EQUAL)
 
 
 def builtin_truth(left: Term, relation: Relation, right: Term) -> bool:
+    holds = _RELATIONS[relation]
     if type(left) is IntegerConstant and type(right) is IntegerConstant:
-        a, b = left.value, right.value
-        return relation_holds(LESS if a < b else GREATER if a > b else EQUAL, relation)
-    return relation_holds(term_compare(left, right), relation)
+        return holds(left.value, right.value)
+    return holds(term_compare(left, right), EQUAL)
 
 
-def _reader(term: Term) -> Callable[[Substitution], Optional[Term]]:
-    """The value of `term` under a substitution that binds its variables: a
-    variable is a dict read, a ground term is itself, and anything else is
-    evaluated."""
-    if isinstance(term, Variable):
-        return operator.itemgetter(term.name)
-    if isinstance(term, (IntegerConstant, SymbolicConstant, StringConstant)) or is_ground(term):
-        return lambda sigma: term
-    return functools.partial(eval_arithmetic, term)
+def _test(literal: NafLiteral) -> Callable[[Substitution], bool]:
+    """Whether a builtin literal holds under a substitution that binds its
+    variables, compiled once; false when a side is undefined, with or
+    without `not`."""
+    atom, naf = literal.atom, literal.naf
+    holds = _RELATIONS[atom.relation]
+    if all(isinstance(side, (ArithmeticTerm, IntegerConstant)) for side in (atom.left, atom.right)):
+        left, right = _int_reader(atom.left), _int_reader(atom.right)
+        return lambda sigma: (
+            (a := left(sigma)) is not None
+            and (b := right(sigma)) is not None
+            and holds(a, b) != naf
+        )
+    left, right = _reader(atom.left), _reader(atom.right)
+
+    def test(sigma):
+        a, b = left(sigma), right(sigma)
+        if a is None or b is None:
+            return False
+        if type(a) is IntegerConstant and type(b) is IntegerConstant:
+            return holds(a.value, b.value) != naf
+        return holds(term_compare(a, b), EQUAL) != naf
+
+    return test
 
 
 class _AtomIndex:
@@ -470,9 +565,13 @@ class _Grounder:
     def __init__(self, bounds: UniverseBounds) -> None:
         self.bounds = bounds
         self.index = _AtomIndex()
-        # the join plans of this grounding by (statement id, delta position):
-        # the program keeps its statements, so their ids, for the whole call
+        # By statement id, for the whole call (the program keeps its
+        # statements, so their ids): the join plans by (id, delta position),
+        # each rule's head readers, and each variable-free body as `_decide`
+        # leaves it.
         self.plans: dict[tuple[int, Optional[int]], list[_Step]] = {}
+        self.heads: dict[int, list[Callable]] = {}
+        self.decided: dict[int, Optional[tuple]] = {}
 
     # -- plans --------------------------------------------------------
 
@@ -486,55 +585,53 @@ class _Grounder:
         in a step that raises."""
         remaining, bound, steps = list(body), set(bound), []
         if from_delta:
-            step, binds = self._join_step(remaining.pop(0).atom, bound, None)
+            remaining = remaining[1:]
+            step, binds = self._join_step(body[0].atom, bound, None, remaining)
             steps.append(step)
             bound |= binds
         while remaining:
             for position, literal in enumerate(remaining):
-                ready = self._step(literal, bound, statement)
+                rest = remaining[:position] + remaining[position + 1 :]
+                ready = self._step(literal, bound, statement, rest)
                 if ready is not None:
                     break
             else:
                 return steps + [_unschedulable]
-            del remaining[position]
+            remaining = rest
             steps.append(ready[0])
             bound |= ready[1]
         return steps
 
     def _step(
-        self, literal: BodyLiteral, bound: set[str], statement: Statement
+        self, literal: BodyLiteral, bound: set[str], statement: Statement, rest: list
     ) -> Optional[tuple[_Step, set[str]]]:
         """The step for `literal` of `statement` and the variables it binds, or
-        None when the literal is not ready with the variables in `bound`."""
+        None when the literal is not ready with the variables in `bound`. A
+        join step takes over the builtins of `rest` it makes ready."""
         atom = literal.atom
         if isinstance(literal, AggregateLiteral):
             return self._aggregate_step(literal, bound, statement)
         if isinstance(atom, ClassicalAtom):
             if not literal.naf:
-                return self._join_step(atom, bound, self.index)
+                return self._join_step(atom, bound, self.index, rest)
             if not atom_variables(atom) <= bound:
                 return None
+            read = _atom_reader(atom)
 
             def naf_step(states, delta):
                 return [
                     (sigma, (*kept, NafLiteral(ground, True)), delayed)
                     for sigma, kept, delayed in states
-                    if (ground := instantiate_atom(atom, sigma)) is not None
+                    if (ground := read(sigma)) is not None
                 ]
 
             return naf_step, set()
         left_vars, right_vars = term_variables(atom.left), term_variables(atom.right)
         if left_vars | right_vars <= bound:
-            left, right, relation = _reader(atom.left), _reader(atom.right), atom.relation
+            test = _test(literal)
 
             def filter_step(states, delta):
-                return [
-                    state
-                    for state in states
-                    if (a := left(state[0])) is not None
-                    and (b := right(state[0])) is not None
-                    and builtin_truth(a, relation, b) != literal.naf
-                ]
+                return [state for state in states if test(state[0])]
 
             return filter_step, set()
         if literal.naf or atom.relation is not Relation.EQ:
@@ -573,42 +670,46 @@ class _Grounder:
             return None
         if not element_vars & global_variables(statement) <= bound:
             return None
-        plans = [self._plan(element.condition, bound, statement) for element in atom.elements]
+        readers, elements = self._compile_aggregate(literal, bound, statement)
         if not binds_guard:
 
             def aggregate_step(states, delta):
                 return [
                     (sigma, (*kept, ground), delayed)
                     for sigma, kept, delayed in states
-                    if (ground := self._instantiate_aggregate(literal, plans, sigma)) is not None
+                    if (ground := self._instantiate_aggregate(literal, readers, elements, sigma))
+                    is not None
                 ]
 
             return aggregate_step, set()
+        read_guard = readers[1][0]
 
         def guard_step(states, delta):
             out = []
             for sigma, kept, delayed in states:
-                elements = self._instantiate_elements(atom.elements, plans, sigma)
-                for value in _possible_values(atom.function, elements):
+                ground_elements = self._instantiate_elements(elements, sigma)
+                for value in _possible_values(atom.function, ground_elements):
                     extended = _extend(sigma, delayed, [(guard.term, value)])
-                    term = None if extended is None else eval_arithmetic(guard.term, extended[0])
+                    term = None if extended is None else read_guard(extended[0])
                     if term is not None:
                         bound_guard = Guard(term, guard.relation)
-                        ground = AggregateAtom(atom.function, elements, None, bound_guard)
+                        ground = AggregateAtom(atom.function, ground_elements, None, bound_guard)
                         out.append((extended[0], (*kept, AggregateLiteral(ground)), extended[1]))
             return out
 
         return guard_step, term_variables_outside_arithmetic(guard.term)
 
     def _join_step(
-        self, atom: ClassicalAtom, bound: set[str], index: Optional[_AtomIndex]
+        self, atom: ClassicalAtom, bound: set[str], index: Optional[_AtomIndex], rest: list
     ) -> tuple[_Step, set[str]]:
         """The step matching a positive classical atom against `index` (the
         delta when None), and the variables it binds. The candidates are
         looked up by the first bound argument. Every other argument compares
         with a bound variable or a ground term, compares with an earlier
         argument (the second X of p(X,X)), or binds a fresh variable;
-        functional and arithmetic patterns fall back to unification."""
+        functional and arithmetic patterns fall back to unification. The
+        builtins of `rest` whose last variable the step binds are taken out
+        of `rest` and tested on each match before it is kept."""
         signature, position, key = atom_signature(atom), None, None
         # (position, reader), (position, earlier position), name: position,
         # (pattern, position)
@@ -630,6 +731,14 @@ class _Grounder:
         binds = set(fresh)
         for pattern, _ in compound:
             binds |= term_variables_outside_arithmetic(pattern)
+        tests = []
+        for literal in list(rest):
+            if isinstance(literal.atom, BuiltinAtom):
+                names = atom_variables(literal.atom)
+                if not names <= bound and names <= bound | binds:
+                    rest.remove(literal)
+                    tests.append(_test(literal))
+        test = functools.reduce(lambda f, g: lambda s: f(s) and g(s), tests) if tests else None
 
         def join_step(states, delta):
             source = delta if index is None else index
@@ -639,22 +748,27 @@ class _Grounder:
                 if key is not None and (value := key(sigma)) is None:
                     continue
                 fixed = [(i, read(sigma)) for i, read in checks]
+                # the fresh variables of each candidate are bound in one
+                # scratch copy, copied again only for a match that is kept
+                scratch = dict(sigma) if fresh_items else sigma
                 for candidate in source.candidates(signature, position, value):
                     args = candidate.atom.args
                     if fixed and any(args[i] != v for i, v in fixed):
                         continue
                     if repeats and any(args[i] != args[j] for i, j in repeats):
                         continue
-                    new, pending = sigma, delayed
-                    if fresh_items:
-                        new = dict(sigma)
-                        for name, i in fresh_items:
-                            new[name] = args[i]
+                    for name, i in fresh_items:
+                        scratch[name] = args[i]
+                    new, pending = scratch, delayed
                     if compound or delayed:
-                        extended = _extend(new, delayed, [(p, args[i]) for p, i in compound])
+                        extended = _extend(scratch, delayed, [(p, args[i]) for p, i in compound])
                         if extended is None:
                             continue
                         new, pending = extended
+                    if test is not None and not test(new):
+                        continue
+                    if new is scratch and fresh_items:
+                        new = dict(scratch)
                     out.append((new, (*kept, candidate), pending))
             return out
 
@@ -662,29 +776,46 @@ class _Grounder:
 
     # -- aggregates ---------------------------------------------------
 
-    def _instantiate_elements(
-        self, elements: tuple[AggregateElement, ...], plans: list, sigma: Substitution
-    ) -> tuple[AggregateElement, ...]:
+    def _compile_aggregate(
+        self, literal: AggregateLiteral, bound: set[str], statement: Statement
+    ) -> tuple[list, list]:
+        """The guard readers of an aggregate, each None or (reader, relation),
+        and its elements, each with its condition's plan and its terms'
+        reader, for the variables in `bound`."""
+        atom = literal.atom
+        readers = [
+            None if guard is None else (_reader(guard.term), guard.relation)
+            for guard in (atom.left_guard, atom.right_guard)
+        ]
+        elements = [
+            (element, self._plan(element.condition, bound, statement), _tuple_reader(element.terms))
+            for element in atom.elements
+        ]
+        return readers, elements
+
+    def _instantiate_elements(self, elements: list, sigma: Substitution) -> tuple:
         out: dict[str, AggregateElement] = {}
-        for element, plan in zip(elements, plans):
+        for element, plan, read in elements:
             for local, kept in self._join(plan, sigma):
-                terms = [eval_arithmetic(t, local) for t in element.terms]
-                if any(t is None for t in terms):
-                    continue
-                instance = AggregateElement(tuple(terms), kept, element.explicit_colon)
-                out.setdefault(aggregate_element_to_text(instance), instance)
+                if (terms := read(local)) is not None:
+                    instance = AggregateElement(terms, kept, element.explicit_colon)
+                    out.setdefault(aggregate_element_to_text(instance), instance)
         return tuple(out[key] for key in sorted(out))
 
     def _instantiate_aggregate(
-        self, literal: AggregateLiteral, plans: list[list[_Step]], sigma: Substitution
+        self, literal: AggregateLiteral, readers: list, elements: list, sigma: Substitution
     ) -> Optional[AggregateLiteral]:
-        atom = literal.atom
-        sides = (atom.left_guard, atom.right_guard)
-        guards = [g and Guard(eval_arithmetic(g.term, sigma), g.relation) for g in sides]
-        if any(guard is not None and guard.term is None for guard in guards):
-            return None
-        elements = self._instantiate_elements(atom.elements, plans, sigma)
-        return AggregateLiteral(AggregateAtom(atom.function, elements, *guards), literal.naf)
+        guards = []
+        for reader in readers:
+            if reader is not None:
+                if (term := reader[0](sigma)) is None:
+                    return None
+                reader = Guard(term, reader[1])
+            guards.append(reader)
+        ground = AggregateAtom(
+            literal.atom.function, self._instantiate_elements(elements, sigma), *guards
+        )
+        return AggregateLiteral(ground, literal.naf)
 
     # -- body join ----------------------------------------------------
 
@@ -711,24 +842,79 @@ class _Grounder:
         classical literal there is matched only against `delta`."""
         if not statement.body:
             return [({}, ())]
-        plan = self.plans.get((id(statement), position))
+        key = id(statement)
+        plan = self.plans.get((key, position))
+        if plan is None and key not in self.decided:
+            if any(map(term_variables, global_terms(statement))):
+                body = statement.body
+                if position is not None:
+                    body = (body[position],) + body[:position] + body[position + 1 :]
+                plan = self._plan(body, (), statement, position is not None)
+                self.plans[key, position] = plan
+            else:
+                self.decided[key] = self._decide(statement)
         if plan is None:
-            body = statement.body
-            if position is not None:
-                body = (body[position],) + body[:position] + body[position + 1 :]
-            plan = self._plan(body, (), statement, position is not None)
-            self.plans[id(statement), position] = plan
+            return self._decided_body(self.decided[key], position, delta)
         return self._join(plan, {}, delta)
+
+    def _decide(self, statement: Statement) -> Optional[tuple]:
+        """A variable-free body with its atoms instantiated and its builtins
+        decided: its positive atoms by body position, its naf literals and
+        its compiled aggregates; None when the body can never hold."""
+        atoms, nafs, aggregates = {}, [], []
+        for position, literal in enumerate(statement.body):
+            if isinstance(literal, AggregateLiteral):
+                aggregates.append((literal, *self._compile_aggregate(literal, set(), statement)))
+            elif isinstance(literal.atom, BuiltinAtom):
+                if not _test(literal)({}):
+                    return None
+            elif (ground := _atom_reader(literal.atom)({})) is None:
+                return None
+            elif literal.naf:
+                nafs.append(NafLiteral(ground, True))
+            else:
+                atoms[position] = ground
+        return atoms, nafs, aggregates
+
+    def _decided_body(self, decided: Optional[tuple], position, delta) -> _Instances:
+        """The one body instance of a variable-free statement as `_decide`
+        left it, its only substitution being the empty one: each call looks
+        its positive atoms up, keeping the index's literals as a join does,
+        and instantiates its aggregates."""
+        if decided is None:
+            return []
+        atoms, nafs, aggregates = decided
+        kept = []
+        if position is not None:
+            if (literal := delta.literals.get(atoms[position])) is None:
+                return []
+            kept.append(literal)
+        for at, atom in atoms.items():
+            if at != position:
+                if (literal := self.index.literals.get(atom)) is None:
+                    return []
+                kept.append(literal)
+        kept += nafs
+        for literal, readers, elements in aggregates:
+            if (ground := self._instantiate_aggregate(literal, readers, elements, {})) is None:
+                return []
+            kept.append(ground)
+        return [({}, tuple(kept))]
 
     def fire(self, rule: Rule, states: _Instances, instances: dict) -> list[NafLiteral]:
         """Record the instances of the rule for the body instances and add
         their heads to the index; returns the literals of the atoms the index
         did not have."""
+        if not states:
+            return []
+        readers = self.heads.get(id(rule))
+        if readers is None:
+            readers = self.heads[id(rule)] = [_atom_reader(atom) for atom in rule.head]
         added: list[NafLiteral] = []
         for sigma, kept in states:
             heads = []
-            for atom in rule.head:
-                ground = instantiate_atom(atom, sigma)
+            for read in readers:
+                ground = read(sigma)
                 if ground is None:
                     break
                 check_atom_bounds(ground, self.bounds)
@@ -815,17 +1001,19 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
         grounder.fire(rule, grounder.ground_body(rule), instances)
     weaks: dict[WeakConstraint, None] = {}
     for weak in program.weak_constraints:
+        read = _tuple_reader((weak.weight, weak.level, *weak.terms))
         for sigma, kept in grounder.ground_body(weak):
-            weight = eval_arithmetic(weak.weight, sigma)
-            level = eval_arithmetic(weak.level, sigma)
-            terms = [eval_arithmetic(t, sigma) for t in weak.terms]
-            if weight is None or level is None or any(t is None for t in terms):
+            values = read(sigma)
+            if values is None:
                 continue
+            weight, level, *terms = values
             body = tuple(sorted(kept, key=body_literal_to_text))
             weaks.setdefault(WeakConstraint(body, weight, level, tuple(terms)), None)
     # an aggregate step calls back into the grounder, so dropping the plans
     # frees the grounder now, not at the next collection of reference cycles
     grounder.plans.clear()
+    grounder.heads.clear()
+    grounder.decided.clear()
     return GroundProgram(
         tuple(sorted(instances, key=rule_to_text)),
         tuple(sorted(weaks, key=weak_constraint_to_text)),
@@ -993,7 +1181,12 @@ def ground_program(
     delta literal) gets one join plan per call: its literals as they become
     ready, each positive atom looked up by its first bound argument in an
     index keyed by (predicate, position, value) and its other arguments
-    compared or bound on a plain substitution.
+    compared or bound on a plain substitution. The plan compiles each
+    builtin and each arithmetic term once, and a builtin whose last
+    variable a join binds is tested inside that join, before the match's
+    substitution is copied. A statement without variables gets no plan: its
+    atoms are instantiated and its builtins decided once per call, and each
+    later visit looks its atoms up in the index.
 
     With naive=True every substitution over the bounded universe is
     enumerated instead and nothing is derived, so the bounds are never

@@ -13,23 +13,18 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from aspcore2.errors import LexError
 from aspcore2.lexer import Token, TokenKind
 from aspcore2.syntax import (
     AggregateAtom,
-    AggregateElement,
     AggregateFunction,
     AggregateLiteral,
-    ArithOp,
-    ArithmeticTerm,
     BuiltinAtom,
     ClassicalAtom,
     FunctionalTerm,
-    Guard,
     IntegerConstant,
-    NafLiteral,
     Relation,
     Rule,
     Span,

@@ -20,6 +20,7 @@ from aspcore2.ground import (
     ground_program,
     instantiate_element,
     is_ground,
+    relation_holds,
     term_compare,
     term_depth,
     term_sort_key,
@@ -30,9 +31,11 @@ from aspcore2.solver import answer_sets
 from aspcore2.syntax import (
     ArithmeticTerm,
     ArithOp,
+    BuiltinAtom,
     ClassicalAtom,
     FunctionalTerm,
     IntegerConstant,
+    NafLiteral,
     Relation,
     StringConstant,
     SymbolicConstant,
@@ -177,6 +180,68 @@ def test_arithmetic_inside_functional_term():
     assert eval_arithmetic(term) == f(TWO)
     undefined = FunctionalTerm("f", (arith(ArithOp.DIV, ONE, IntegerConstant(0)),))
     assert eval_arithmetic(undefined) is None
+
+
+# The grounder compiles each term it evaluates per instance (`_reader`) and
+# each builtin it tests (`_test`); both must agree with the definitions.
+
+OPERANDS = [
+    IntegerConstant(0), ONE, IntegerConstant(-7), IntegerConstant(3),
+    SymbolicConstant("a"), StringConstant('"s"'), f(ONE),
+    Variable("X"), Variable("Y"), Variable("Z"),
+]
+VALUES = [IntegerConstant(0), TWO, IntegerConstant(-5), SymbolicConstant("b"), f(TWO)]
+
+
+def random_arithmetic_term(rng, depth=3):
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return rng.choice(OPERANDS)
+    if roll < 0.4:
+        return arith(ArithOp.NEG, random_arithmetic_term(rng, depth - 1))
+    if roll < 0.5:
+        return FunctionalTerm("g", (random_arithmetic_term(rng, depth - 1),))
+    op = rng.choice([ArithOp.ADD, ArithOp.SUB, ArithOp.MUL, ArithOp.DIV, ArithOp.DIV])
+    return arith(op, random_arithmetic_term(rng, depth - 1), random_arithmetic_term(rng, depth - 1))
+
+
+def test_compiled_evaluation_agrees_with_eval_arithmetic():
+    rng = random.Random(23)
+    undefined = 0
+    for _ in range(3000):
+        term = random_arithmetic_term(rng)
+        sigma = {name: rng.choice(VALUES) for name in "XYZ"}
+        expected = eval_arithmetic(term, sigma)
+        assert ground_module._reader(term)(sigma) == expected, term_to_text(term)
+        undefined += expected is None
+    assert 300 < undefined < 2700
+
+
+def test_compiled_builtin_agrees_with_builtin_truth():
+    rng = random.Random(31)
+    for _ in range(3000):
+        left, right = random_arithmetic_term(rng, 2), random_arithmetic_term(rng, 2)
+        relation, naf = rng.choice(list(Relation)), rng.random() < 0.5
+        sigma = {name: rng.choice(VALUES) for name in "XYZ"}
+        a, b = eval_arithmetic(left, sigma), eval_arithmetic(right, sigma)
+        expected = a is not None and b is not None and builtin_truth(a, relation, b) != naf
+        literal = NafLiteral(BuiltinAtom(left, relation, right), naf)
+        assert ground_module._test(literal)(sigma) is expected
+
+
+@pytest.mark.parametrize(
+    "relation, truths",
+    [
+        (Relation.LT, (True, False, False)),
+        (Relation.LE, (True, True, False)),
+        (Relation.EQ, (False, True, False)),
+        (Relation.NE, (True, False, True)),
+        (Relation.GT, (False, False, True)),
+        (Relation.GE, (False, True, True)),
+    ],
+)
+def test_relation_holds_on_each_comparison(relation, truths):
+    assert tuple(relation_holds(c, relation) for c in (LESS, EQUAL, GREATER)) == truths
 
 
 def test_is_ground_and_depth():
@@ -492,6 +557,72 @@ def test_grounding_work_grows_with_the_ground_program(monkeypatch):
     large_work, large_rules = candidate_atoms(monkeypatch, reach(40))
     assert (small_rules, large_rules) == (230, 860)
     assert large_work / small_work <= 1.5 * large_rules / small_rules
+
+
+# Pinned ground texts of the paths a plan does not take: variable-free
+# statements, decided once per call, and builtins tested by a step other
+# than a join. Each is the text the grounder printed before these paths.
+
+PATH_PROGRAMS = {
+    "variable-free statements": (
+        "c. a :- b. b :- a. b :- c. d :- e. f :- c, 2 < 1. p(1/0). g :- p(1/0)."
+        " h :- c, not e. k :- #count{X : m(X)} >= 1, c. m(1). m(2). n :- c, 1 != 2."
+        " q :- c, 1/0 < 1. :~ h. [2@1] :~ a, b. [1/0@1]",
+        "a :- b.\nb :- a.\nb :- c.\nc.\nh :- c, not e.\n"
+        "k :- #count{1 : m(1); 2 : m(2)} >= 1, c.\nm(1).\nm(2).\nn :- c.\n:~ h. [2@1]",
+    ),
+    "builtins after a naf literal and at the start": (
+        "b(1). b(2). b(3). c(2). r(X,Y) :- b(X), not c(X), b(Y), X < Y."
+        " s :- 1 < 2, not c(1).",
+        "b(1).\nb(2).\nb(3).\nc(2).\n"
+        "r(1,2) :- b(1), b(2), not c(1).\n"
+        "r(1,3) :- b(1), b(3), not c(1).\n"
+        "r(2,3) :- b(2), b(3), not c(2).\n"
+        "s :- not c(1).",
+    ),
+    "builtins after an aggregate": (
+        "b(1). b(2). b(3). g(N) :- #count{X : b(X)} = N, N > 2."
+        " g(N) :- #sum{X : b(X)} = N, N < 6.",
+        "b(1).\nb(2).\nb(3).\n"
+        + "".join(
+            f"g({n}) :- #sum{{1 : b(1); 2 : b(2); 3 : b(3)}} = {n}.\n" for n in range(3)
+        )
+        + "g(3) :- #count{1 : b(1); 2 : b(2); 3 : b(3)} = 3.\n"
+        + "\n".join(
+            f"g({n}) :- #sum{{1 : b(1); 2 : b(2); 3 : b(3)}} = {n}." for n in range(3, 6)
+        ),
+    ),
+    "builtins after a bind step": (
+        "b(1). b(2). b(3). n(X,Y) :- b(X), Y = X + 1, Y < 4."
+        " o(Y) :- b(X), Y = X * 2, Y != 4, not n(X,Y).",
+        "b(1).\nb(2).\nb(3).\nn(1,2) :- b(1).\nn(2,3) :- b(2).\n"
+        "o(2) :- b(1), not n(1,2).\no(6) :- b(3), not n(3,6).",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_PROGRAMS))
+def test_plan_free_and_filter_paths_pinned_and_agree_with_naive(name):
+    text, expected = PATH_PROGRAMS[name]
+    smart = ground(text)
+    assert smart.to_text() == expected
+    assert answer_sets(smart) == answer_sets(ground(text, naive=True))
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        # both builtins become ready when the second atom binds X2 and Y2
+        (":- q(X1,Y1), q(X2,Y2), X1 < X2, X2 - X1 = Y2 - Y1.", 2),
+        # ready at the start, after a bind step and after an aggregate
+        ("r :- 1 < 2, b(X), Y = X + 1, Y < 4.", 4),
+        ("g(N) :- #count{X : b(X)} = N, N > 2.", 2),
+    ],
+)
+def test_builtins_made_ready_by_a_join_run_inside_it(text, steps):
+    (rule,) = desugar(parse_program(text)).rules
+    plan = ground_module._Grounder(UniverseBounds())._plan(rule.body, (), rule)
+    assert len(plan) == steps
 
 
 # --------------------------------------------------------------------------
