@@ -4,10 +4,12 @@ Usage: python3 benchmarks/bench_ground.py [--repeats R]
 
 For reach-40 (the transitive closure of a 40-edge chain), 3-colouring a
 60-cycle and 8-queens, as `tests/generators.py` writes them, and for
-patterns-60, whose body atoms hold a functional and an arithmetic pattern
-(matched by unification rather than by the join plan's argument actions),
-and for reach-40 reground, reach-40's own ground text (860 variable-free
-statements in one recursive component, grounded without join plans), it
+patterns-60, whose body atoms hold a functional pattern (matched by
+unification rather than by the join plan's argument actions) and an
+arithmetic one (bound to a fresh variable and checked by a builtin once
+its variable is bound), and for reach-40 reground, reach-40's own ground
+text (860 variable-free statements in one recursive component, grounded
+without join plans), it
 desugars the program once and then times `ground_program` and
 `GroundProgram.to_text` (best of R each, each `to_text` on a freshly
 grounded program, so that no text computed by an earlier call is reused).

@@ -36,7 +36,6 @@ from .syntax import (
     element_variables,
     global_terms,
     is_aux_name,
-    iter_element_terms,
     render_aux_name,
     statement_to_text,
     term_to_text,
@@ -118,14 +117,9 @@ def _literal_bindings(
     guard = atom.right_guard
     if guard is None or guard.relation is not Relation.EQ or atom.left_guard is not None:
         return set()
-    element_vars: set[str] = set()
-    outside: set[str] = set()
-    for element in atom.elements:
-        for term in iter_element_terms(element):
-            element_vars |= term_variables(term)
-            outside |= term_variables_outside_arithmetic(term)
+    element_vars = set().union(*map(element_variables, atom.elements))
     if element_vars & scope <= bound:
-        return (outside | term_variables_outside_arithmetic(guard.term)) & scope
+        return term_variables_outside_arithmetic(guard.term) & scope
     return set()
 
 

@@ -5,8 +5,9 @@ explicit `undefined` outcome, well-formedness of substitutions, aggregate
 element instantiation, and two grounders: a bottom-up one restricted to
 potentially derivable atoms (component by component, semi-naive, each body
 joined by a plan made once per call over argument-indexed atoms, with its
-builtins and arithmetic compiled into closures when the plan is made; a
-variable-free statement is decided once per call, without a plan), and a
+builtins and arithmetic compiled into closures and each arithmetic
+subpattern scheduled as a builtin when the plan is made; a variable-free
+statement is decided once per call, without a plan), and a
 naive one enumerating every substitution over the bounded universe (the
 literal definition, kept for differential testing). `eval_arithmetic`,
 `builtin_truth` and `relation_holds` are the reference definitions the
@@ -29,6 +30,7 @@ from .analysis import (
 )
 from .errors import BoundExceeded
 from .syntax import (
+    AUX_MARKER,
     AggregateAtom,
     AggregateElement,
     AggregateFunction,
@@ -58,6 +60,7 @@ from .syntax import (
     classical_atom_to_text,
     element_variables,
     global_terms,
+    is_aux_name,
     iter_element_terms,
     iter_statement_terms,
     iter_subterms,
@@ -383,72 +386,72 @@ def _canonical_rule(head: tuple[ClassicalAtom, ...], body: Iterable[BodyLiteral]
 # --------------------------------------------------------------------------
 # Join plans over partially ground bodies
 #
-# A state is a substitution, the ground literals kept so far, and delayed
-# arithmetic match constraints (pattern, expected) awaiting their variables.
-# A plan joins a body for one set of initially bound variables: one step per
+# A state is a substitution and the ground literals kept so far. A plan
+# joins a body for one set of initially bound variables: one step per
 # literal, in the order the literals become ready, each a function from the
 # states before its literal to the states after it. Whatever depends only on
-# which variables are bound is worked out once, when the plan is made.
+# which variables are bound is worked out once, when the plan is made; so is
+# where each arithmetic subpattern is checked. A match binds only variables
+# outside arithmetic (the safety definition's rule), so an arithmetic
+# subterm of a pattern becomes a fresh variable V, which the match binds,
+# and the builtin `V = subterm`, scheduled like any other.
 
 _Step = Callable[[list, Optional["_AtomIndex"]], list]
 _Instances = list[tuple[Substitution, tuple[BodyLiteral, ...]]]
 
 
-def _unify(pattern: Term, value: Term, sigma: Substitution, delayed: list) -> bool:
-    """Match a possibly nonground pattern against a ground term, binding
-    variables in `sigma`; arithmetic subpatterns become delayed equality
-    checks."""
+def _lift_arithmetic(term: Term, checks: list) -> Term:
+    """`term` with each arithmetic subterm replaced by a variable V named
+    after it, with AUX_MARKER so that no program variable is V; the builtin
+    literal `V = subterm` is appended to `checks`."""
+    if isinstance(term, ArithmeticTerm):
+        aux = Variable(AUX_MARKER + repr(term))
+        checks.append(NafLiteral(BuiltinAtom(aux, Relation.EQ, term)))
+        return aux
+    if isinstance(term, FunctionalTerm):
+        return FunctionalTerm(term.functor, tuple(_lift_arithmetic(a, checks) for a in term.args))
+    return term
+
+
+def _unify(pattern: Term, value: Term, sigma: Substitution) -> bool:
+    """Match a pattern without arithmetic against a ground term, binding
+    variables in `sigma`."""
     if isinstance(pattern, Variable):
         bound = sigma.get(pattern.name)
         if bound is None:
             sigma[pattern.name] = value
             return True
         return bound == value
-    if isinstance(pattern, ArithmeticTerm):
-        delayed.append((pattern, value))
-        return True
     if isinstance(pattern, FunctionalTerm):
         return (
             isinstance(value, FunctionalTerm)
             and value.functor == pattern.functor
             and len(value.args) == len(pattern.args)
-            and all(_unify(p, v, sigma, delayed) for p, v in zip(pattern.args, value.args))
+            and all(_unify(p, v, sigma) for p, v in zip(pattern.args, value.args))
         )
     return pattern == value
 
 
-def _resolve_delayed(sigma: Substitution, delayed: Iterable) -> Optional[list]:
-    """The delayed checks whose variables are not all bound yet, or None when
-    a check that can be decided fails."""
-    remaining = []
-    for pattern, expected in delayed:
-        if term_variables(pattern) <= sigma.keys():
-            value = eval_arithmetic(pattern, sigma)
-            if value is None or value != expected:
-                return None
-        else:
-            remaining.append((pattern, expected))
-    return remaining
-
-
-def _extend(sigma: Substitution, delayed: Iterable, pairs: Iterable) -> Optional[tuple]:
-    """A copy of `sigma` under which each (pattern, value) pair matches, with
-    the delayed checks still open; None when a match or a check fails."""
-    sigma, delayed = dict(sigma), list(delayed)
-    if all(_unify(pattern, value, sigma, delayed) for pattern, value in pairs):
-        delayed = _resolve_delayed(sigma, delayed)
-        if delayed is not None:
-            return sigma, delayed
-    return None
+def _extend(sigma: Substitution, pairs: Iterable) -> Optional[Substitution]:
+    """A copy of `sigma` under which each (pattern, value) pair matches, or
+    None when one does not."""
+    sigma = dict(sigma)
+    return sigma if all(_unify(pattern, value, sigma) for pattern, value in pairs) else None
 
 
 def match_atom(pattern: ClassicalAtom, atom: ClassicalAtom) -> Optional[Substitution]:
     """The substitution under which the possibly nonground `pattern` equals
-    the ground `atom`, or None when there is none."""
+    the ground `atom`, or None when there is none. An arithmetic subpattern
+    matches when its variables are bound elsewhere in `pattern`."""
     if atom_signature(pattern) != atom_signature(atom):
         return None
-    matched = _extend({}, (), zip(pattern.args, atom.args))
-    return None if matched is None or matched[1] else matched[0]
+    checks: list[NafLiteral] = []
+    sigma = _extend({}, [(_lift_arithmetic(p, checks), v) for p, v in zip(pattern.args, atom.args)])
+    if sigma is None or not checks:
+        return sigma
+    if all(atom_variables(check.atom) <= sigma.keys() and _test(check)(sigma) for check in checks):
+        return {name: value for name, value in sigma.items() if not is_aux_name(name)}
+    return None
 
 
 # The truth of each relation between two integers, or between a three-way
@@ -607,10 +610,11 @@ class _Grounder:
     ) -> Optional[tuple[_Step, set[str]]]:
         """The step for `literal` of `statement` and the variables it binds, or
         None when the literal is not ready with the variables in `bound`. A
-        join step takes over the builtins of `rest` it makes ready."""
+        step that matches a pattern adds to `rest` the builtins its arithmetic
+        subpatterns become, and a join step takes over those it makes ready."""
         atom = literal.atom
         if isinstance(literal, AggregateLiteral):
-            return self._aggregate_step(literal, bound, statement)
+            return self._aggregate_step(literal, bound, statement, rest)
         if isinstance(atom, ClassicalAtom):
             if not literal.naf:
                 return self._join_step(atom, bound, self.index, rest)
@@ -620,14 +624,13 @@ class _Grounder:
 
             def naf_step(states, delta):
                 return [
-                    (sigma, (*kept, NafLiteral(ground, True)), delayed)
-                    for sigma, kept, delayed in states
+                    (sigma, (*kept, NafLiteral(ground, True)))
+                    for sigma, kept in states
                     if (ground := read(sigma)) is not None
                 ]
 
             return naf_step, set()
-        left_vars, right_vars = term_variables(atom.left), term_variables(atom.right)
-        if left_vars | right_vars <= bound:
+        if atom_variables(atom) <= bound:
             test = _test(literal)
 
             def filter_step(states, delta):
@@ -636,36 +639,39 @@ class _Grounder:
             return filter_step, set()
         if literal.naf or atom.relation is not Relation.EQ:
             return None
-        if left_vars <= bound and right_vars - bound:
-            source, pattern = atom.left, atom.right
-        elif right_vars <= bound and left_vars - bound:
-            source, pattern = atom.right, atom.left
+        # a bind step binds a variable outside arithmetic on its pattern side
+        for source, pattern in ((atom.left, atom.right), (atom.right, atom.left)):
+            binds = term_variables_outside_arithmetic(pattern) - bound
+            if binds and term_variables(source) <= bound:
+                break
         else:
             return None
-        read = _reader(source)
+        read, pattern = _reader(source), _lift_arithmetic(pattern, rest)
 
         def bind_step(states, delta):
             return [
-                (extended[0], kept, extended[1])
-                for sigma, kept, delayed in states
+                (extended, kept)
+                for sigma, kept in states
                 if (value := read(sigma)) is not None
-                and (extended := _extend(sigma, delayed, [(pattern, value)])) is not None
+                and (extended := _extend(sigma, [(pattern, value)])) is not None
             ]
 
-        return bind_step, term_variables_outside_arithmetic(pattern)
+        return bind_step, term_variables(pattern)
 
     def _aggregate_step(
-        self, literal: AggregateLiteral, bound: set[str], statement: Statement
+        self, literal: AggregateLiteral, bound: set[str], statement: Statement, rest: list
     ) -> Optional[tuple[_Step, set[str]]]:
         """With its guards bound, the step keeps the aggregate's ground
-        instance; for `#f{...} = T` with T unbound, it binds T to each value
-        the aggregate can take over its ground elements."""
+        instance; for `#f{...} = T` with a variable of T unbound outside
+        arithmetic, it binds T to each value the aggregate can take over its
+        ground elements."""
         atom, guard = literal.atom, literal.atom.right_guard
         guards = [side.term for side in (atom.left_guard, guard) if side is not None]
         guard_vars = set().union(*map(term_variables, guards))
         element_vars = set().union(*map(element_variables, atom.elements))
         equality = guard is not None and guard.relation is Relation.EQ and atom.left_guard is None
-        binds_guard = equality and not literal.naf and bool(guard_vars - bound)
+        outside = term_variables_outside_arithmetic(guard.term) if equality else set()
+        binds_guard = not literal.naf and bool(outside - bound)
         if not (binds_guard or guard_vars <= bound):
             return None
         if not element_vars & global_variables(statement) <= bound:
@@ -675,39 +681,39 @@ class _Grounder:
 
             def aggregate_step(states, delta):
                 return [
-                    (sigma, (*kept, ground), delayed)
-                    for sigma, kept, delayed in states
+                    (sigma, (*kept, ground))
+                    for sigma, kept in states
                     if (ground := self._instantiate_aggregate(literal, readers, elements, sigma))
                     is not None
                 ]
 
             return aggregate_step, set()
-        read_guard = readers[1][0]
+        pattern = _lift_arithmetic(guard.term, rest)
 
         def guard_step(states, delta):
             out = []
-            for sigma, kept, delayed in states:
+            for sigma, kept in states:
                 ground_elements = self._instantiate_elements(elements, sigma)
                 for value in _possible_values(atom.function, ground_elements):
-                    extended = _extend(sigma, delayed, [(guard.term, value)])
-                    term = None if extended is None else read_guard(extended[0])
-                    if term is not None:
-                        bound_guard = Guard(term, guard.relation)
+                    if (extended := _extend(sigma, [(pattern, value)])) is not None:
+                        bound_guard = Guard(value, guard.relation)
                         ground = AggregateAtom(atom.function, ground_elements, None, bound_guard)
-                        out.append((extended[0], (*kept, AggregateLiteral(ground)), extended[1]))
+                        out.append((extended, (*kept, AggregateLiteral(ground))))
             return out
 
-        return guard_step, term_variables_outside_arithmetic(guard.term)
+        return guard_step, term_variables(pattern)
 
     def _join_step(
         self, atom: ClassicalAtom, bound: set[str], index: Optional[_AtomIndex], rest: list
     ) -> tuple[_Step, set[str]]:
         """The step matching a positive classical atom against `index` (the
         delta when None), and the variables it binds. The candidates are
-        looked up by the first bound argument. Every other argument compares
-        with a bound variable or a ground term, compares with an earlier
-        argument (the second X of p(X,X)), or binds a fresh variable;
-        functional and arithmetic patterns fall back to unification. The
+        looked up by the first argument whose variables are bound, and every
+        other such argument is a compiled check. In an argument with an
+        unbound variable each arithmetic subterm is lifted into a variable
+        and a builtin added to `rest`; then the argument is checked, compares
+        with an earlier argument (the second X of p(X,X)), binds a fresh
+        variable, or is a functional pattern matched by unification. The
         builtins of `rest` whose last variable the step binds are taken out
         of `rest` and tested on each match before it is kept."""
         signature, position, key = atom_signature(atom), None, None
@@ -715,22 +721,23 @@ class _Grounder:
         # (pattern, position)
         checks, repeats, fresh, compound = [], [], {}, []
         for i, arg in enumerate(atom.args):
-            if isinstance(arg, Variable) and arg.name in fresh:
+            if not term_variables(arg) <= bound:
+                arg = _lift_arithmetic(arg, rest)
+            if term_variables(arg) <= bound:
+                if position is None:
+                    position, key = i, _reader(arg)
+                else:
+                    checks.append((i, _reader(arg)))
+            elif isinstance(arg, Variable) and arg.name in fresh:
                 repeats.append((i, fresh[arg.name]))
-            elif isinstance(arg, Variable) and arg.name not in bound:
+            elif isinstance(arg, Variable):
                 fresh[arg.name] = i
-            elif not (isinstance(arg, Variable) or term_variables(arg) <= bound):
-                compound.append((arg, i))
-            elif position is None:
-                position, key = i, _reader(arg)
-            elif isinstance(arg, Variable) or is_ground(arg):
-                checks.append((i, _reader(arg)))
             else:
                 compound.append((arg, i))
         fresh_items = tuple(fresh.items())
         binds = set(fresh)
         for pattern, _ in compound:
-            binds |= term_variables_outside_arithmetic(pattern)
+            binds |= term_variables(pattern)
         tests = []
         for literal in list(rest):
             if isinstance(literal.atom, BuiltinAtom):
@@ -743,7 +750,7 @@ class _Grounder:
         def join_step(states, delta):
             source = delta if index is None else index
             out = []
-            for sigma, kept, delayed in states:
+            for sigma, kept in states:
                 value = None
                 if key is not None and (value := key(sigma)) is None:
                     continue
@@ -759,17 +766,16 @@ class _Grounder:
                         continue
                     for name, i in fresh_items:
                         scratch[name] = args[i]
-                    new, pending = scratch, delayed
-                    if compound or delayed:
-                        extended = _extend(scratch, delayed, [(p, args[i]) for p, i in compound])
-                        if extended is None:
+                    new = scratch
+                    if compound:
+                        new = _extend(scratch, [(p, args[i]) for p, i in compound])
+                        if new is None:
                             continue
-                        new, pending = extended
                     if test is not None and not test(new):
                         continue
                     if new is scratch and fresh_items:
                         new = dict(scratch)
-                    out.append((new, (*kept, candidate), pending))
+                    out.append((new, (*kept, candidate)))
             return out
 
         return join_step, binds - bound
@@ -822,20 +828,12 @@ class _Grounder:
     def _join(self, plan: list[_Step], sigma0: Substitution, delta=None) -> _Instances:
         """(substitution, ground literals kept) for every way the plan's body
         holds over the index, its delta step reading `delta`."""
-        states = [(sigma0, (), ())]
+        states = [(sigma0, ())]
         for step in plan:
             if not states:
                 break
             states = step(states, delta)
-        final = []
-        for sigma, kept, delayed in states:
-            if delayed:
-                if not all(term_variables(p) <= sigma.keys() for p, _ in delayed):
-                    raise ValueError("unresolved match constraints; the statement is not safe")
-                if _resolve_delayed(sigma, delayed) is None:
-                    continue
-            final.append((sigma, kept))
-        return final
+        return states
 
     def ground_body(self, statement: Statement, position=None, delta=None) -> _Instances:
         """Body instances of the statement; with `position`, the positive
@@ -1181,12 +1179,14 @@ def ground_program(
     delta literal) gets one join plan per call: its literals as they become
     ready, each positive atom looked up by its first bound argument in an
     index keyed by (predicate, position, value) and its other arguments
-    compared or bound on a plain substitution. The plan compiles each
-    builtin and each arithmetic term once, and a builtin whose last
-    variable a join binds is tested inside that join, before the match's
-    substitution is copied. A statement without variables gets no plan: its
-    atoms are instantiated and its builtins decided once per call, and each
-    later visit looks its atoms up in the index.
+    compared or bound on a plain substitution. A match binds only variables
+    outside arithmetic: an arithmetic subterm of a pattern becomes a fresh
+    variable and an equality builtin, scheduled as any other. The plan
+    compiles each builtin and each arithmetic term once, and a builtin whose
+    last variable a join binds is tested inside that join, before the
+    match's substitution is copied. A statement without variables gets no
+    plan: its atoms are instantiated and its builtins decided once per call,
+    and each later visit looks its atoms up in the index.
 
     With naive=True every substitution over the bounded universe is
     enumerated instead and nothing is derived, so the bounds are never

@@ -288,6 +288,13 @@ def test_solve_unsatisfiable_exits_1(capsys, tmp_path):
     assert out == ""
 
 
+def test_solve_binds_an_arithmetic_guard_by_another_literal(capsys, tmp_path):
+    text = "q(1). q(2). r(1). r(3). p(X) :- #count{Y : q(Y)} = X+1, r(X)."
+    code, out, _err = run(capsys, "solve", source(tmp_path, text))
+    assert code == 0
+    assert out == "{p(1), q(1), q(2), r(1), r(3)}\n"
+
+
 def test_solve_models_limit(capsys, tmp_path):
     path = source(tmp_path, "a | b. c | d.")
     code, out, _err = run(capsys, "solve", "--models", "1", path)

@@ -626,6 +626,88 @@ def test_builtins_made_ready_by_a_join_run_inside_it(text, steps):
 
 
 # --------------------------------------------------------------------------
+# Arithmetic subpatterns: a match binds only variables outside arithmetic
+
+# `=` aggregate guards whose variable occurs only inside arithmetic; another
+# literal binds it, and the guard is then a test
+ARITHMETIC_GUARDS = {
+    "count = X+1": (
+        "q(1). q(2). r(1). r(3). p(X) :- #count{Y : q(Y)} = X+1, r(X).",
+        "p(1) :- #count{1 : q(1); 2 : q(2)} = 2, r(1).\n"
+        "p(3) :- #count{1 : q(1); 2 : q(2)} = 4, r(3).\n"
+        "q(1).\nq(2).\nr(1).\nr(3).",
+    ),
+    "X+1 = count": (
+        "q(1). q(2). r(1). r(3). p(X) :- X+1 = #count{Y : q(Y)}, r(X).",
+        "p(1) :- #count{1 : q(1); 2 : q(2)} = 2, r(1).\n"
+        "p(3) :- #count{1 : q(1); 2 : q(2)} = 4, r(3).\n"
+        "q(1).\nq(2).\nr(1).\nr(3).",
+    ),
+    "sum = X+0": (
+        "v(0). v(1). p(X) :- #sum{Y : v(Y)} = X+0, v(X).",
+        "p(0) :- #sum{0 : v(0); 1 : v(1)} = 0, v(0).\n"
+        "p(1) :- #sum{0 : v(0); 1 : v(1)} = 1, v(1).\nv(0).\nv(1).",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_GUARDS))
+def test_arithmetic_aggregate_guards_are_tests_not_bindings(name):
+    text, expected = ARITHMETIC_GUARDS[name]
+    smart = ground(text)
+    assert smart.to_text() == expected
+    assert answer_sets(smart) == answer_sets(ground(text, naive=True))
+
+
+def test_an_arithmetic_pattern_without_a_binding_is_not_scheduled():
+    program = desugar(parse_program("q(1). p(X) :- q(X+1)."))
+    with pytest.raises(ValueError, match="cannot schedule body literals"):
+        ground_program(program, UniverseBounds(5, 1))
+
+
+# Facts and rules for random programs with arithmetic in body patterns;
+# each rule names the pattern it exercises
+ARITHMETIC_FACTS = [
+    "b(0).", "b(1).", "b(2).", "v(0).", "v(1).", "v(2).",
+    "c(0,1).", "c(1,1).", "c(1,2).", "c(2,0).",
+    "k(f(0,1)).", "k(f(1,2)).", "k(f(2,2)).", "k(f(a,1)).",
+]
+ARITHMETIC_RULES = [
+    "o(X) :- v(X+1), v(X).",  # an arithmetic argument before its variable is bound
+    "o(X) :- k(f(X,Y+1)), b(Y).",  # arithmetic inside a functional pattern
+    "o(X) :- k(F), f(X,X+1) = F.",  # ... on the pattern side of a bind step
+    "o(Y) :- k(F), f(0,Y+1) = F, b(Y).",  # a pattern side with no variable outside arithmetic
+    "o(X) :- X+1 = 2, b(X).",  # a builtin that waits for its arithmetic's variable
+    "o(X) :- #count{Y : b(Y)} = X+1, v(X).",  # arithmetic guards
+    "o(X) :- X+1 = #count{Y : b(Y)}, v(X).",
+    "o(X) :- #sum{Y : v(Y)} = X*2, v(X).",
+    "o(X) :- #max{Y : c(X,Y)} = X+1, b(X).",
+    "o(X) :- b(X), not c(X,X+1).",  # arithmetic under negation
+    "o(X) :- b(X), #count{Y : c(Y+1,X), b(Y)} >= 1.",  # element conditions with arithmetic
+    "o(X) :- v(X), #sum{Y : v(Y+1), b(Y)} >= X.",
+    "o(X) :- b(X), v(X/0).",  # division by zero
+    "o(X) :- b(X), Y = X/0, v(Y).",
+]
+
+
+def test_arithmetic_patterns_agree_with_naive_on_random_programs():
+    assert check_program(desugar(parse_program("\n".join(ARITHMETIC_RULES)))).ok
+    rng = random.Random(41)
+    compared = 0
+    for index in range(60):
+        facts = rng.sample(ARITHMETIC_FACTS, rng.randint(6, len(ARITHMETIC_FACTS)))
+        text = "\n".join(facts + rng.sample(ARITHMETIC_RULES, rng.randint(2, 4)))
+        try:
+            naive = answer_sets(ground(text, max_int=2, max_nesting=1, naive=True))
+        except BoundExceeded:
+            continue
+        smart = answer_sets(ground(text, max_int=2, max_nesting=1))
+        assert smart == naive, f"program {index}:\n{text}"
+        compared += 1
+    assert compared >= 50
+
+
+# --------------------------------------------------------------------------
 # The ground text, byte for byte, and the program it came from
 
 # sha256 of `to_text()` at the command line's default bounds; the same

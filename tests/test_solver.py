@@ -709,6 +709,14 @@ def test_query_with_undefined_arithmetic_is_false():
     assert query_of("p(0). p(1/0)?").status == "false"
 
 
+def test_query_checks_arithmetic_against_variables_bound_in_the_match():
+    facts = "p(1,2). p(2,2). p(f(2,3)). p(f(3,3)). p(a,b). "
+    one, two = IntegerConstant(1), IntegerConstant(2)
+    assert query_of(facts + "p(X,X+1)?").substitutions == ((("X", one),),)
+    assert query_of(facts + "p(f(X,X+1))?").substitutions == ((("X", two),),)
+    assert query_of(facts + "p(X+1,Y)?").substitutions == ()
+
+
 def test_query_matches_strong_negation_exactly():
     assert query_of("-p(1). -p(1)?").status == "true"
     assert query_of("-p(1). p(1)?").status == "false"
