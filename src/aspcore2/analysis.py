@@ -389,12 +389,8 @@ class RecursiveAggregate:
         return (
             f"aggregate over {signature_to_text(self.aggregate_atom)} is recursive with "
             f"head {signature_to_text(self.head_atom)} via {route} in "
-            f"`{rule_text(self.rule)}`"
+            f"`{statement_to_text(self.rule)}`"
         )
-
-
-def rule_text(rule: Rule) -> str:
-    return statement_to_text(rule)
 
 
 def check_aggregates_nonrecursive(program: Program) -> list[RecursiveAggregate]:

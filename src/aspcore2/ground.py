@@ -20,7 +20,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .analysis import (
     Signature,
@@ -66,6 +66,7 @@ from .syntax import (
     iter_subterms,
     rule_to_text,
     statement_to_text,
+    term_to_text,
     term_variables,
     term_variables_outside_arithmetic,
     weak_constraint_to_text,
@@ -93,12 +94,6 @@ class UniverseBounds:
 
 # --------------------------------------------------------------------------
 # Ground terms and the total order
-
-
-def is_ground(term: Term) -> bool:
-    return not any(
-        isinstance(sub, (Variable, ArithmeticTerm)) for sub in iter_subterms(term)
-    )
 
 
 def term_depth(term: Term) -> int:
@@ -344,24 +339,29 @@ class _LazyUniverse:
         return iter(self.terms)
 
 
+def _outside_universe(
+    term: Term, bounds: UniverseBounds, integers: Container = ()
+) -> Optional[str]:
+    """How the ground term `term` leaves the declared universe, widened by
+    `integers`, or None."""
+    if isinstance(term, (SymbolicConstant, StringConstant)) or (
+        isinstance(term, IntegerConstant) and abs(term.value) <= bounds.max_int
+    ):
+        return None
+    for sub in iter_subterms(term):
+        if isinstance(sub, IntegerConstant) and abs(sub.value) > bounds.max_int:
+            if sub.value not in integers:
+                return f"contains integer {sub.value} beyond the maximum {bounds.max_int}"
+    if term_depth(term) > bounds.max_nesting:
+        return f"nests functions deeper than the maximum {bounds.max_nesting}"
+    return None
+
+
 def check_atom_bounds(atom: ClassicalAtom, bounds: UniverseBounds) -> None:
     """Raise BoundExceeded if a derived atom leaves the declared universe."""
     for arg in atom.args:
-        if isinstance(arg, (SymbolicConstant, StringConstant)) or (
-            isinstance(arg, IntegerConstant) and abs(arg.value) <= bounds.max_int
-        ):
-            continue
-        for sub in iter_subterms(arg):
-            if isinstance(sub, IntegerConstant) and abs(sub.value) > bounds.max_int:
-                raise BoundExceeded(
-                    f"derived atom {classical_atom_to_text(atom)} contains integer "
-                    f"{sub.value} beyond the maximum {bounds.max_int}"
-                )
-        if term_depth(arg) > bounds.max_nesting:
-            raise BoundExceeded(
-                f"derived atom {classical_atom_to_text(atom)} nests functions "
-                f"deeper than the maximum {bounds.max_nesting}"
-            )
+        if (outside := _outside_universe(arg, bounds)) is not None:
+            raise BoundExceeded(f"derived atom {classical_atom_to_text(atom)} {outside}")
 
 
 # --------------------------------------------------------------------------
@@ -565,8 +565,8 @@ def _possible_values(function: AggregateFunction, elements: tuple) -> list[Term]
 
 
 class _Grounder:
-    def __init__(self, bounds: UniverseBounds) -> None:
-        self.bounds = bounds
+    def __init__(self, bounds: UniverseBounds, program: Program = Program()) -> None:
+        self.bounds, self.program = bounds, program
         self.index = _AtomIndex()
         # By statement id, for the whole call (the program keeps its
         # statements, so their ids): the join plans by (id, delta position),
@@ -575,6 +575,19 @@ class _Grounder:
         self.plans: dict[tuple[int, Optional[int]], list[_Step]] = {}
         self.heads: dict[int, list[Callable]] = {}
         self.decided: dict[int, Optional[tuple]] = {}
+
+    @functools.cached_property
+    def integers(self) -> set[int]:
+        """The program's integers, in the universe beyond max_int; read on first need."""
+        return program_constants(self.program)[0]
+
+    def _stray_binding(self, names: Iterable[str], sigma: Substitution) -> Optional[str]:
+        """How `sigma` binds one of `names` to a term outside the universe
+        that the naive grounder ranges every variable over, or None."""
+        for name in names:
+            if (outside := _outside_universe(sigma[name], self.bounds, self.integers)) is not None:
+                return f"{name} to {term_to_text(sigma[name])}, which {outside}"
+        return None
 
     # -- plans --------------------------------------------------------
 
@@ -649,12 +662,16 @@ class _Grounder:
         read, pattern = _reader(source), _lift_arithmetic(pattern, rest)
 
         def bind_step(states, delta):
-            return [
+            out = [
                 (extended, kept)
                 for sigma, kept in states
                 if (value := read(sigma)) is not None
                 and (extended := _extend(sigma, [(pattern, value)])) is not None
             ]
+            for extended, _ in out:
+                if (stray := self._stray_binding(binds, extended)) is not None:
+                    raise BoundExceeded(f"`{body_literal_to_text(literal)}` binds {stray}")
+            return out
 
         return bind_step, term_variables(pattern)
 
@@ -688,14 +705,17 @@ class _Grounder:
                 ]
 
             return aggregate_step, set()
-        pattern = _lift_arithmetic(guard.term, rest)
+        pattern, binds = _lift_arithmetic(guard.term, rest), outside - bound
 
         def guard_step(states, delta):
             out = []
             for sigma, kept in states:
                 ground_elements = self._instantiate_elements(elements, sigma)
                 for value in _possible_values(atom.function, ground_elements):
-                    if (extended := _extend(sigma, [(pattern, value)])) is not None:
+                    extended = _extend(sigma, [(pattern, value)])
+                    # the naive grounder has no instance for a value outside
+                    # the universe, and the aggregate may never take it
+                    if extended is not None and self._stray_binding(binds, extended) is None:
                         bound_guard = Guard(value, guard.relation)
                         ground = AggregateAtom(atom.function, ground_elements, None, bound_guard)
                         out.append((extended, (*kept, AggregateLiteral(ground))))
@@ -977,11 +997,8 @@ def _aggregates_over(rule: Rule, component: frozenset[Signature]) -> bool:
     )
 
 
-def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
-    for rule in program.rules:
-        if isinstance(rule.head, ChoiceAtom):
-            raise ValueError("statement must be desugared before grounding")
-    grounder = _Grounder(bounds)
+def _smart_ground(program: Program, bounds: UniverseBounds) -> tuple[dict, dict]:
+    grounder = _Grounder(bounds, program)
     components = build_dependency_graph(program).components()
     rank = {sig: i for i, component in enumerate(components) for sig in component}
     by_component: list[list[Rule]] = [[] for _ in components]
@@ -1012,10 +1029,7 @@ def _smart_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
     grounder.plans.clear()
     grounder.heads.clear()
     grounder.decided.clear()
-    return GroundProgram(
-        tuple(sorted(instances, key=rule_to_text)),
-        tuple(sorted(weaks, key=weak_constraint_to_text)),
-    )
+    return instances, weaks
 
 
 # --------------------------------------------------------------------------
@@ -1125,15 +1139,13 @@ def _naive_statement_instances(
         yield sigma, body
 
 
-def _naive_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
+def _naive_ground(program: Program, bounds: UniverseBounds) -> tuple[dict, dict]:
     # a statement without variables draws no term, and one over the budget
     # is refused before any is built; the functors of a desugared choice can
     # make the universe large
     universe = _LazyUniverse(program, bounds)
     rules: dict[Rule, None] = {}
     for rule in program.rules:
-        if isinstance(rule.head, ChoiceAtom):
-            raise ValueError("statement must be desugared before grounding")
         for sigma, body in _naive_statement_instances(
             rule, universe, global_variables(rule)
         ):
@@ -1151,10 +1163,7 @@ def _naive_ground(program: Program, bounds: UniverseBounds) -> GroundProgram:
                 tuple(eval_arithmetic(t, sigma) for t in weak.terms),
             )
             weaks.setdefault(instance, None)
-    return GroundProgram(
-        tuple(sorted(rules, key=rule_to_text)),
-        tuple(sorted(weaks, key=weak_constraint_to_text)),
-    )
+    return rules, weaks
 
 
 def ground_program(
@@ -1166,7 +1175,9 @@ def ground_program(
 
     The default grounder instantiates bottom-up, keeping only substitutions
     whose positive classical body atoms are potentially derivable, and raises
-    BoundExceeded when a derivable atom leaves the universe. It grounds the
+    BoundExceeded when a derivable atom, or a term that a builtin binds to a
+    variable, leaves the universe; an `=` aggregate guard skips such a value,
+    for which the naive grounder has no instance either. It grounds the
     strongly connected components of the predicate dependency graph in
     topological order, so every predicate a component depends on is complete
     when its rules are joined. A component is joined once; if it is
@@ -1195,6 +1206,11 @@ def ground_program(
     """
     if bounds is None:
         bounds = UniverseBounds()
-    if naive:
-        return _naive_ground(program, bounds)
-    return _smart_ground(program, bounds)
+    for rule in program.rules:
+        if isinstance(rule.head, ChoiceAtom):
+            raise ValueError("statement must be desugared before grounding")
+    rules, weaks = (_naive_ground if naive else _smart_ground)(program, bounds)
+    return GroundProgram(
+        tuple(sorted(rules, key=rule_to_text)),
+        tuple(sorted(weaks, key=weak_constraint_to_text)),
+    )

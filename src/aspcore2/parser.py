@@ -5,10 +5,13 @@ a query, a builtin atom, or the guard term of an aggregate or choice atom.
 Each production dispatches on the current token kind and parses each
 literal once: an ID, or a '-' directly before an ID, is read as a classical
 atom, and is read again as a term only when the token after it is a
-relation or one of + - * /. Valid input raises no exception. On the error
-path only, the parser rewinds to the start of the literal (or head) and runs
-the alternative the grammar's order tries last, a classical atom (or a
-disjunctive head), whose error is the one reported.
+relation or one of + - * /. Any other token picks the production by its
+kind alone: an aggregate function starts an aggregate; a token that can
+start a term starts a builtin or a left-guarded aggregate in a body, and
+it or a '{' starts a choice in a head; any other token is reported where a
+classical atom's predicate name was expected. No production is retried, so
+a syntax error names the first token at which the production being read
+cannot go on.
 """
 
 from __future__ import annotations
@@ -116,6 +119,10 @@ class _Parser:
             kind = self.kinds[self.pos + 1]
         return kind is TokenKind.ID
 
+    def at_term(self) -> bool:
+        kind = self.kinds[self.pos]
+        return kind in _BASIC_TERM_TOKENS or kind is TokenKind.PAREN_OPEN
+
     def span_from(self, start: int) -> Span:
         """From the start of token `start` to the end of the last token read."""
         tokens = self.tokens
@@ -160,12 +167,10 @@ class _Parser:
             else:
                 head = self.parse_disjunction(atom)
         if head is None:
-            try:
-                head = self.parse_choice_atom()
-            except ParseError:
-                # Invalid input: report what a disjunctive head reports.
-                self.pos = begin
-                head = self.parse_disjunction(self.parse_classical_atom())
+            if self.kinds[self.pos] is not TokenKind.CURLY_OPEN and not self.at_term():
+                # no head starts here: report what a classical atom reports
+                self.fail("expected predicate name")
+            head = self.parse_choice_atom()
         body: list[BodyLiteral] = []
         if self.accept(TokenKind.CONS):
             body = self.parse_optional_body()
@@ -251,27 +256,25 @@ class _Parser:
         aggregate literal, after its `not` if any."""
         naf = self.accept(TokenKind.NAF)
         begin = self.pos
+        # whether a builtin or an aggregate's left guard may start here
+        term_first = aggregates or not naf
         if self.at_classical_atom():
             atom = self.parse_classical_atom()
-            if self.kinds[self.pos] not in _TERM_FOLLOW:
+            if not term_first or self.kinds[self.pos] not in _TERM_FOLLOW:
                 return NafLiteral(atom, naf)
             self.pos = begin
-        aggregate = None
-        try:
-            if aggregates and self.kinds[begin] in _AGGREGATE_TOKENS:
-                aggregate = self.parse_aggregate_atom(None)
-            elif aggregates or not naf:
-                left = Guard(self.parse_term(), self.parse_relation())
-                if aggregates and self.kinds[self.pos] in _AGGREGATE_TOKENS:
-                    aggregate = self.parse_aggregate_atom(left)
-                elif not naf:
-                    return NafLiteral(BuiltinAtom(left.term, left.relation, self.parse_term()))
-        except ParseError:
-            pass
-        if aggregate is None:
-            # Only invalid input gets here: report what a classical atom
-            # read from the literal's start reports, or fail after it.
-            self.pos = begin
+        if aggregates and self.kinds[begin] in _AGGREGATE_TOKENS:
+            aggregate = self.parse_aggregate_atom(None)
+        elif term_first and self.at_term():
+            left = Guard(self.parse_term(), self.parse_relation())
+            if aggregates and self.kinds[self.pos] in _AGGREGATE_TOKENS:
+                aggregate = self.parse_aggregate_atom(left)
+            elif naf:
+                self.fail("expected aggregate function")
+            else:
+                return NafLiteral(BuiltinAtom(left.term, left.relation, self.parse_term()))
+        else:
+            # no literal starts here: report what a classical atom reports
             return NafLiteral(self.parse_classical_atom(), naf)
         if aggregate.left_guard is None and aggregate.right_guard is None:
             raise ParseError("aggregate atom requires at least one guard", self.tokens.span(begin))

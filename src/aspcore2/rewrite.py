@@ -165,22 +165,6 @@ def _flip_body_literal(literal: BodyLiteral) -> BodyLiteral:
 # Choice rules
 
 
-class AuxNameGenerator:
-    """Hands out auxiliary predicate names, one per source predicate.
-
-    Names embed a marker character outside every lexical class, so they can
-    never collide with predicates or functors of a parsed program.
-    """
-
-    def __init__(self) -> None:
-        self._by_predicate: dict[str, str] = {}
-
-    def aux_for(self, predicate: str) -> str:
-        if predicate not in self._by_predicate:
-            self._by_predicate[predicate] = make_aux_name(predicate, len(self._by_predicate))
-        return self._by_predicate[predicate]
-
-
 def desugar_choice_rules(program: Program) -> Program:
     """Compile choice rules into disjunctive rules plus a count constraint.
 
@@ -189,7 +173,8 @@ def desugar_choice_rules(program: Program) -> Program:
     a polarity flag with the arguments of `a`; a final constraint enforces the
     guard by counting the chosen `a'` terms.
     """
-    generator = AuxNameGenerator()
+    # one auxiliary predicate per source predicate, numbered in order of use
+    aux_names: dict[str, str] = {}
     rules: list[Rule] = []
     for rule in program.rules:
         if not isinstance(rule.head, ChoiceAtom):
@@ -204,7 +189,9 @@ def desugar_choice_rules(program: Program) -> Program:
         count_elements: list[AggregateElement] = []
         for element in choice.elements:
             atom = element.atom
-            aux_predicate = generator.aux_for(atom.predicate)
+            aux_predicate = aux_names.setdefault(
+                atom.predicate, make_aux_name(atom.predicate, len(aux_names))
+            )
             polarity = IntegerConstant(0 if atom.strong_negation else 1)
             aux_args = (polarity,) + atom.args
             aux_atom = ClassicalAtom(aux_predicate, aux_args)

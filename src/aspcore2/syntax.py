@@ -580,9 +580,8 @@ def aggregate_element_to_text(element: AggregateElement) -> str:
     return terms
 
 
-def aggregate_atom_to_text(atom: AggregateAtom) -> str:
-    inner = "; ".join(aggregate_element_to_text(e) for e in atom.elements)
-    text = f"{atom.function.value}{{{inner}}}"
+def _guarded_to_text(atom: Union[AggregateAtom, ChoiceAtom], text: str) -> str:
+    """`text`, the braces of an aggregate or choice atom, between its guards."""
     if atom.left_guard is not None:
         g = atom.left_guard
         text = f"{term_to_text(g.term)} {g.relation.value} {text}"
@@ -590,6 +589,11 @@ def aggregate_atom_to_text(atom: AggregateAtom) -> str:
         g = atom.right_guard
         text = f"{text} {g.relation.value} {term_to_text(g.term)}"
     return text
+
+
+def aggregate_atom_to_text(atom: AggregateAtom) -> str:
+    inner = "; ".join(aggregate_element_to_text(e) for e in atom.elements)
+    return _guarded_to_text(atom, f"{atom.function.value}{{{inner}}}")
 
 
 @_memoised
@@ -610,14 +614,7 @@ def choice_element_to_text(element: ChoiceElement) -> str:
 
 def choice_atom_to_text(atom: ChoiceAtom) -> str:
     inner = "; ".join(choice_element_to_text(e) for e in atom.elements)
-    text = f"{{{inner}}}"
-    if atom.left_guard is not None:
-        g = atom.left_guard
-        text = f"{term_to_text(g.term)} {g.relation.value} {text}"
-    if atom.right_guard is not None:
-        g = atom.right_guard
-        text = f"{text} {g.relation.value} {term_to_text(g.term)}"
-    return text
+    return _guarded_to_text(atom, f"{{{inner}}}")
 
 
 @_memoised

@@ -237,6 +237,14 @@ def test_ground_bound_overflow_exits_4(capsys, tmp_path):
     assert "1000" in err
 
 
+def test_solve_binding_outside_the_universe_exits_4(capsys, tmp_path):
+    path = source(tmp_path, "b(2). p :- b(Y), X = Y + 5.")
+    code, out, err = run(capsys, "solve", "--max-int", "2", path)
+    assert code == 4
+    assert out == ""
+    assert "`X = Y+5` binds X to 7" in err
+
+
 def test_ground_respects_max_int_flag(capsys, tmp_path):
     path = source(tmp_path, "p(0). p(X+1) :- p(X).")
     code, _out, err = run(capsys, "ground", "--max-int", "3", path)

@@ -19,7 +19,6 @@ from aspcore2.ground import (
     eval_arithmetic,
     ground_program,
     instantiate_element,
-    is_ground,
     relation_holds,
     term_compare,
     term_depth,
@@ -41,6 +40,7 @@ from aspcore2.syntax import (
     SymbolicConstant,
     Variable,
     aggregate_element_to_text,
+    iter_subterms,
     term_to_text,
 )
 from generators import colouring, queens, random_ground_term, reach
@@ -245,9 +245,10 @@ def test_relation_holds_on_each_comparison(relation, truths):
 
 
 def test_is_ground_and_depth():
-    assert is_ground(f(ONE))
-    assert not is_ground(f(Variable("X")))
-    assert not is_ground(arith(ArithOp.ADD, ONE, ONE))
+    # a term is ground when none of its subterms is a variable or arithmetic
+    assert list(iter_subterms(f(ONE))) == [f(ONE), ONE]
+    assert Variable("X") in iter_subterms(f(Variable("X")))
+    assert isinstance(next(iter_subterms(arith(ArithOp.ADD, ONE, ONE))), ArithmeticTerm)
     assert term_depth(ONE) == 0
     assert term_depth(f(f(ONE))) == 2
 
@@ -372,6 +373,41 @@ def test_smart_grounding_raises_on_unbounded_recursion():
         ground("p(0). p(X+1) :- p(X).", max_int=5, max_nesting=0)
 
 
+def test_smart_grounding_raises_on_a_binding_outside_the_universe():
+    # the naive grounder ranges every variable over the universe, so it has
+    # no instance with that binding; the smart one refuses instead of
+    # answering differently
+    text = "b(2). p :- b(Y), X = Y + 5."
+    with pytest.raises(BoundExceeded) as caught:
+        ground(text, max_int=2)
+    assert str(caught.value) == (
+        "`X = Y+5` binds X to 7, which contains integer 7 beyond the maximum 2"
+    )
+    wide = answer_sets(ground(text, max_int=7))
+    assert wide == answer_sets(ground(text, max_int=7, naive=True))
+    assert wide != answer_sets(ground(text, max_int=2, naive=True))
+
+
+@pytest.mark.parametrize(
+    "text,derived",
+    [
+        # the universe holds every integer written in the program
+        ("p :- X = 100.", {"p"}),
+        ("t :- T = 1500, T > 1000.", {"t"}),
+        # a guard value outside the universe is skipped, not refused: the
+        # sum 3 of {2, 1} is outside, the true sum 2 is not
+        ("d(2). d(1). d(-1). ok :- #sum{X : d(X)} = N, N > 1.", {"ok", "d"}),
+        # the true count 3 is outside, so no instance can hold, as in naive
+        ("b(0). b(1). b(2). z :- #count{X : b(X)} = N, N > 1.", {"b"}),
+    ],
+)
+def test_smart_grounding_binds_over_the_naive_universe(text, derived):
+    smart = answer_sets(ground(text, max_int=2))
+    assert smart == answer_sets(ground(text, max_int=2, naive=True))
+    (model,) = smart
+    assert {atom.predicate for atom in model} == derived
+
+
 def test_naive_grounding_never_exceeds_bounds():
     grounded = ground("p(0). p(X+1) :- p(X).", max_int=5, max_nesting=0, naive=True)
     lines = grounded.to_text().split("\n")
@@ -434,7 +470,13 @@ def test_smart_grounding_drops_aggregates_grounded_before_their_atoms(text):
 def test_grounding_strips_variables():
     grounded = ground("b(1). b(2). {a(X) : b(X)} >= 1.", max_int=3)
     assert "X" not in grounded.to_text()
-    assert all(is_ground(arg) for r in grounded.rules for a in r.head_atoms() for arg in a.args)
+    assert not any(
+        isinstance(sub, (Variable, ArithmeticTerm))
+        for r in grounded.rules
+        for a in r.head_atoms()
+        for arg in a.args
+        for sub in iter_subterms(arg)
+    )
 
 
 def test_ground_output_reparses_to_fixed_point():

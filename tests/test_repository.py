@@ -1,10 +1,14 @@
 """Checks on the repository itself rather than on the toolkit."""
 
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import aspcore2
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +42,22 @@ def test_package_tracks_only_python_sources():
     assert listed.returncode == 0, listed.stderr
     others = [path for path in listed.stdout.splitlines() if not path.endswith(".py")]
     assert not others, f"tracked non-Python files in the package: {others}"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("bench_frontend.py", ["--kbytes", "2", "--repeats", "1"]),
+        ("bench_ground.py", ["--repeats", "1"]),
+        ("bench_verify.py", ["--queens", "4", "--cycles", "4", "--repeats", "1"]),
+    ],
+)
+def test_benchmark_scripts_run_and_their_checks_hold(script, args):
+    # Each script checks the outputs it times and exits 1 when one is wrong;
+    # bench_ground.py compares each ground text with its pinned sha256.
+    env = {**os.environ, "PYTHONPATH": str(Path(aspcore2.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / script), *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
